@@ -26,6 +26,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --release
 run cargo test -q
 
+# The unit tests inside crates/*/src. The workspace root is itself a
+# package, so the tier-1 `cargo test -q` above runs only the umbrella
+# crate's tests; this stage runs every member's lib and bin tests
+# (the kernel fast-path pins, serve's engine-pick test, ...) at release
+# optimisation.
+run cargo test -q --release --workspace --lib --bins
+
 # The fault-injection kit at release optimisation (the differential
 # matrix and the vote-engine edge cases are sized for release), plus a
 # fault-matrix smoke of the robustness figure: small rates, 3 policy
@@ -33,9 +40,9 @@ run cargo test -q
 run cargo test -q --release --test fault_differential --test vote_plan
 run cargo run --release -q -p cachekit-bench --bin fig11_robustness -- --smoke
 
-# Engine differential at release optimisation: boxed / enum /
-# compiled-table bit-identity over all 13 differential kinds, plus the
-# catalog-spec -> table round trip.
+# Engine differential at release optimisation: boxed / enum / batch
+# kernel bit-identity over all 13 differential kinds, plus the
+# exhaustive equivalence of every catalog spec with its enum policy.
 run cargo test -q --release --test engine_differential
 
 # Inference-engine differential at release optimisation: permutation
@@ -83,17 +90,17 @@ done
 # in results/table3_cost.json covers the full associativity ladder).
 run cargo run --release -q -p cachekit-bench --bin table3_cost -- --smoke
 
-# Engine-throughput smoke: exercises all five engines (boxed, enum,
-# eager table, lazy table, batch kernel) end-to-end and writes
-# results/bench_access_smoke.json (the recorded numbers in
-# results/bench_access.json come from the full run). The binary itself
-# exits nonzero if any target row is missing from the sweep — e.g. a
-# (policy, assoc) kernel that stopped compiling.
+# Engine-throughput smoke: exercises all three engines (boxed, enum,
+# batch kernel) end-to-end and writes results/bench_access_smoke.json
+# (the recorded numbers in results/bench_access.json come from the full
+# run). The binary itself exits nonzero if any target row is missing
+# from the sweep — e.g. a (policy, assoc) kernel that stopped compiling.
 run cargo run --release -q -p cachekit-bench --bin bench_access -- --smoke
 
-# The committed full-run engine record must have closed every gap: no
-# bare "n/a" cells (skips are typed: stochastic / table_blowup /
-# no_kernel), and no target recorded as unmet.
+# The committed full-run engine record must carry no bare "n/a" cells
+# (a pair without a kernel records the typed skip no_kernel) and no
+# target recorded as unmet: kernel_over_enum >= 3.0 at LRU/FIFO/PLRU@8
+# and a kernel row for LRU/FIFO/PLRU/NRU@16.
 echo "==> grep -c 'n/a' results/bench_access.json"
 if grep -q 'n/a' results/bench_access.json; then
     echo "ci: results/bench_access.json contains untyped n/a cells" >&2

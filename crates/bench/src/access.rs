@@ -2,7 +2,7 @@
 //!
 //! Measures accesses/second over a realistically sized cache — many
 //! sets, interleaved accesses — for every differential policy kind at
-//! associativities 4, 8 and 16 on five engines:
+//! associativities 4, 8 and 16 on three engines:
 //!
 //! * **boxed** — a faithful replica of the pre-refactor substrate: one
 //!   heap object per set with array-of-`Option` tags driving a
@@ -11,34 +11,22 @@
 //! * **enum** — the current [`CacheSet`] with its inline
 //!   enum-dispatched state, driven through the public per-access entry
 //!   point ([`access_tag`](CacheSet::access_tag));
-//! * **table** — the eagerly-compiled table engine at cache scale
-//!   ([`TableCache`]): flat tag/state slabs over one shared transition
-//!   table (deterministic kinds whose reachable state space fits the
-//!   `u16` budget);
-//! * **lazy** — the lazily-compiled table engine ([`LazyTableCache`]):
-//!   states interned on demand behind a lock-free memo, so kinds that
-//!   blow the eager budget (LRU at 16 ways is `16!`) still get a
-//!   table-family number;
 //! * **kernel** — the monomorphized batch kernel ([`KernelCache`]):
 //!   per-(policy, assoc) specialized access loops over
 //!   struct-of-arrays slabs with SWAR tag compare and software
 //!   prefetch of upcoming rows.
 //!
-//! Cells an engine cannot serve carry a **typed skip reason** instead
-//! of a bare `n/a`: `stochastic` (transitions depend on an RNG — no
-//! table-family engine can memoize them), `table_blowup`
-//! (deterministic, but the reachable space exceeds the eager budget;
-//! the lazy column covers it), or `no_kernel` (no monomorphized kernel
-//! compiled for the pair).
+//! Pairs without a compiled kernel carry the **typed skip reason**
+//! `no_kernel` in the kernel column instead of a bare `n/a`.
 //!
 //! The set count (16384 sets at full size — 8 MiB of modeled lines at
 //! 8 ways, an L3-class footprint) is the point of the comparison: an
 //! interleaved stream visits sets in random order, so the boxed
 //! engine's per-set pointer chains (tags `Vec`, policy `Box`, the
 //! policy's own heap state) each cost a dependent cache miss, while the
-//! refactored engines keep a set's whole state in one or two dense
-//! slabs. Single-set micro-runs hide exactly this difference — every
-//! engine fits in L1 there.
+//! other engines keep a set's whole state in one or two dense slabs.
+//! Single-set micro-runs hide exactly this difference — every engine
+//! fits in L1 there.
 //!
 //! All engines replay the *same* seeded stream of `(set, tag)` pairs
 //! (random set per access, 80/20 hot/cold tags), and their hit counts
@@ -49,7 +37,6 @@
 
 use crate::json::Json;
 use crate::{jobj, Runner, Table};
-use cachekit_core::perm::{lazy_table_for_kind, table_for_kind, LazyTableCache, TableCache};
 use cachekit_policies::kernel::KernelCache;
 use cachekit_policies::rng::{mix64, Prng};
 use cachekit_policies::{
@@ -100,44 +87,9 @@ impl BenchConfig {
     }
 }
 
-/// Why an engine has no throughput number for a (kind, assoc) cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Skip {
-    /// Transitions depend on an RNG — no table-family engine can
-    /// memoize them without changing behaviour.
-    Stochastic,
-    /// Deterministic, but the reachable state space exceeds the eager
-    /// compile budget (the lazy column covers the kind instead).
-    TableBlowup,
-    /// No monomorphized batch kernel is compiled for this pair.
-    NoKernel,
-}
-
-impl Skip {
-    /// Machine-readable reason string recorded in tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            Skip::Stochastic => "stochastic",
-            Skip::TableBlowup => "table_blowup",
-            Skip::NoKernel => "no_kernel",
-        }
-    }
-}
-
-/// A throughput cell: measured mops, or a typed reason it was skipped.
-pub type EngineCell = Result<f64, Skip>;
-
-fn cell_mops(cell: EngineCell) -> Json {
-    cell.map_or(Json::Null, Json::from)
-}
-
-fn cell_skip(cell: EngineCell) -> Json {
-    cell.map_or_else(|s| Json::from(s.label()), |_| Json::Null)
-}
-
-fn cell_text(cell: EngineCell) -> String {
-    cell.map_or_else(|s| s.label().into(), fmt_mops)
-}
+/// Skip reason recorded in the kernel column of a pair with no
+/// compiled kernel.
+const NO_KERNEL: &str = "no_kernel";
 
 /// Per-access result the pre-refactor set constructed (replicated so the
 /// baseline pays the same cost, not a slimmed-down version of it).
@@ -293,18 +245,8 @@ pub struct Measurement {
     pub boxed_mops: f64,
     /// Enum-engine throughput, million accesses/second.
     pub enum_mops: f64,
-    /// Eager-table throughput, or why the kind has no eager table.
-    pub table: EngineCell,
-    /// Reachable states of the eagerly compiled table, if any.
-    pub table_states: Option<usize>,
-    /// Lazy-table throughput, or why the kind has no lazy table.
-    pub lazy: EngineCell,
-    /// States the lazy memo interned by the end of the replay.
-    pub lazy_states: Option<usize>,
-    /// Whether the lazy memo hit its budget (some sets went direct).
-    pub lazy_saturated: bool,
-    /// Batch-kernel throughput, or why no kernel serves the pair.
-    pub kernel: EngineCell,
+    /// Batch-kernel throughput, or `None` when no kernel serves the pair.
+    pub kernel: Option<f64>,
     /// Name of the dispatched kernel (e.g. `lru8/swar64`), if any.
     pub kernel_name: Option<&'static str>,
     /// Hits observed over one stream replay (identical on all engines).
@@ -317,28 +259,14 @@ impl Measurement {
         self.enum_mops / self.boxed_mops
     }
 
-    /// Eager-table speedup over the boxed baseline.
-    pub fn table_speedup(&self) -> Option<f64> {
-        self.table.ok().map(|t| t / self.boxed_mops)
-    }
-
     /// Batch-kernel speedup over the boxed baseline.
     pub fn kernel_speedup(&self) -> Option<f64> {
-        self.kernel.ok().map(|k| k / self.boxed_mops)
+        self.kernel.map(|k| k / self.boxed_mops)
     }
 
-    /// Batch-kernel speedup over the same-run eager table.
-    pub fn kernel_over_table(&self) -> Option<f64> {
-        match (self.kernel, self.table) {
-            (Ok(k), Ok(t)) => Some(k / t),
-            _ => None,
-        }
-    }
-
-    /// Whether any table-family engine (eager, lazy or kernel) produced
-    /// a number for this cell.
-    pub fn has_specialized_engine(&self) -> bool {
-        self.table.is_ok() || self.lazy.is_ok() || self.kernel.is_ok()
+    /// Batch-kernel speedup over the same-run enum engine.
+    pub fn kernel_over_enum(&self) -> Option<f64> {
+        self.kernel.map(|k| k / self.enum_mops)
     }
 }
 
@@ -370,64 +298,21 @@ pub fn measure(kind: PolicyKind, assoc: usize, cfg: &BenchConfig) -> Measurement
         "boxed and enum engines disagree for {kind:?} at {assoc} ways"
     );
 
-    // The lazy table exists exactly for deterministic kinds, which makes
-    // it the discriminator for the eager column's skip reason: an eager
-    // miss on a lazily-compilable kind is a budget blowup, not an
-    // in-principle impossibility.
-    let lazy_table = lazy_table_for_kind(kind, assoc);
-
-    let eager = table_for_kind(kind, assoc);
-    let table_states = eager.as_ref().map(|t| t.states());
-    let table = match eager {
-        Some(t) => {
-            let mut cache = TableCache::new(t, cfg.sets);
-            let run = time_engine(cfg.repeats, cfg.accesses, || cache.access_many(&stream).0);
-            assert_eq!(
-                run.hits, enum_run.hits,
-                "table and enum engines disagree for {kind:?} at {assoc} ways"
-            );
-            Ok(run.mops)
-        }
-        None if lazy_table.is_some() => Err(Skip::TableBlowup),
-        None => Err(Skip::Stochastic),
-    };
-
-    let (lazy, lazy_states, lazy_saturated) = match &lazy_table {
-        Some(t) => {
-            let mut cache = LazyTableCache::new(t.clone(), cfg.sets);
-            let run = time_engine(cfg.repeats, cfg.accesses, || cache.access_many(&stream).0);
-            assert_eq!(
-                run.hits, enum_run.hits,
-                "lazy table and enum engines disagree for {kind:?} at {assoc} ways"
-            );
-            (Ok(run.mops), Some(t.states()), t.saturated())
-        }
-        None => (Err(Skip::Stochastic), None, false),
-    };
-
     let kernel_name = KernelCache::kernel_name(kind, assoc);
-    let kernel = match KernelCache::for_kind(kind, assoc, cfg.sets) {
-        Some(mut cache) => {
-            let run = time_engine(cfg.repeats, cfg.accesses, || cache.access_many(&stream).0);
-            assert_eq!(
-                run.hits, enum_run.hits,
-                "kernel and enum engines disagree for {kind:?} at {assoc} ways"
-            );
-            Ok(run.mops)
-        }
-        None => Err(Skip::NoKernel),
-    };
+    let kernel = KernelCache::for_kind(kind, assoc, cfg.sets).map(|mut cache| {
+        let run = time_engine(cfg.repeats, cfg.accesses, || cache.access_many(&stream).0);
+        assert_eq!(
+            run.hits, enum_run.hits,
+            "kernel and enum engines disagree for {kind:?} at {assoc} ways"
+        );
+        run.mops
+    });
 
     Measurement {
         kind,
         assoc,
         boxed_mops: boxed_run.mops,
         enum_mops: enum_run.mops,
-        table,
-        table_states,
-        lazy,
-        lazy_states,
-        lazy_saturated,
         kernel,
         kernel_name,
         hits: enum_run.hits,
@@ -438,8 +323,19 @@ fn fmt_mops(m: f64) -> String {
     format!("{m:.1}")
 }
 
-/// Kinds whose assoc-8 speedup targets the sweep records.
+/// Kinds whose assoc-8 kernel-over-enum speedup the sweep records.
 const TARGET_KINDS: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::TreePlru];
+
+/// Minimum same-run kernel/enum speedup at 8 ways for [`TARGET_KINDS`].
+const KERNEL_OVER_ENUM_TARGET: f64 = 3.0;
+
+/// Kinds that must have a batch kernel at 16 ways.
+const ASSOC16_KERNEL_KINDS: [PolicyKind; 4] = [
+    PolicyKind::Lru,
+    PolicyKind::Fifo,
+    PolicyKind::TreePlru,
+    PolicyKind::Nru,
+];
 
 /// The outcome of a sweep: where the record landed, plus any *missing*
 /// target rows — cells a target needs that the sweep failed to produce
@@ -469,8 +365,13 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
     let mut table = Table::new(
         "Access throughput by engine (million accesses/s, best repeat)",
         &[
-            "policy", "assoc", "boxed", "enum", "table", "lazy", "kernel", "enum x", "kern/tab",
-            "states",
+            "policy",
+            "assoc",
+            "boxed",
+            "enum",
+            "kernel",
+            "enum x",
+            "kern/enum",
         ],
     );
     let mut entries = Vec::new();
@@ -478,10 +379,7 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
     for kind in PolicyKind::differential_kinds() {
         for assoc in ASSOCS {
             let m = measure(kind, assoc, &cfg);
-            let engines = 2
-                + usize::from(m.table.is_ok())
-                + usize::from(m.lazy.is_ok())
-                + usize::from(m.kernel.is_ok());
+            let engines = 2 + usize::from(m.kernel.is_some());
             run.add_cells(1);
             run.count("accesses", (cfg.accesses * cfg.repeats * engines) as u64);
             table.row(vec![
@@ -489,35 +387,22 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
                 assoc.to_string(),
                 fmt_mops(m.boxed_mops),
                 fmt_mops(m.enum_mops),
-                cell_text(m.table),
-                cell_text(m.lazy),
-                cell_text(m.kernel),
+                m.kernel.map_or_else(|| NO_KERNEL.into(), fmt_mops),
                 format!("{:.2}", m.enum_speedup()),
-                m.kernel_over_table()
+                m.kernel_over_enum()
                     .map_or_else(|| "-".into(), |x| format!("{x:.2}")),
-                m.table_states
-                    .or(m.lazy_states)
-                    .map_or_else(|| "-".into(), |s| s.to_string()),
             ]);
             entries.push(jobj! {
                 "policy": kind.label(),
                 "assoc": assoc,
                 "boxed_mops": m.boxed_mops,
                 "enum_mops": m.enum_mops,
-                "table_mops": cell_mops(m.table),
-                "table_skip": cell_skip(m.table),
-                "lazy_mops": cell_mops(m.lazy),
-                "lazy_skip": cell_skip(m.lazy),
-                "kernel_mops": cell_mops(m.kernel),
-                "kernel_skip": cell_skip(m.kernel),
+                "kernel_mops": m.kernel.map_or(Json::Null, Json::from),
+                "kernel_skip": if m.kernel.is_some() { Json::Null } else { Json::from(NO_KERNEL) },
                 "kernel": m.kernel_name.map_or(Json::Null, Json::from),
                 "enum_speedup": m.enum_speedup(),
-                "table_speedup": m.table_speedup().map_or(Json::Null, Json::from),
                 "kernel_speedup": m.kernel_speedup().map_or(Json::Null, Json::from),
-                "kernel_over_table": m.kernel_over_table().map_or(Json::Null, Json::from),
-                "table_states": m.table_states.map_or(Json::Null, Json::from),
-                "lazy_states": m.lazy_states.map_or(Json::Null, Json::from),
-                "lazy_saturated": m.lazy_saturated,
+                "kernel_over_enum": m.kernel_over_enum().map_or(Json::Null, Json::from),
                 "hits": m.hits,
                 "accesses": cfg.accesses,
             });
@@ -525,10 +410,10 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
         }
     }
 
-    // The acceptance targets this refactor records. Presence failures
-    // (a target cell the sweep could not produce at all) are collected
-    // in `missing` and fail the binary; `met` flags additionally pin
-    // the recorded speedups for the committed full run.
+    // The acceptance targets this sweep records. Presence failures (a
+    // target cell the sweep could not produce at all) are collected in
+    // `missing` and fail the binary; `met` flags additionally pin the
+    // recorded speedups for the committed full run.
     let mut missing = Vec::new();
     let mut targets = Vec::new();
     for kind in TARGET_KINDS {
@@ -536,24 +421,21 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
             missing.push(format!("{} assoc 8 row absent from sweep", kind.label()));
             continue;
         };
-        if m.table.is_err() {
-            missing.push(format!("{} assoc 8 has no eager-table row", kind.label()));
-        }
-        match m.kernel_over_table() {
+        match m.kernel_over_enum() {
             Some(x) => targets.push(jobj! {
-                "check": "kernel_over_table",
+                "check": "kernel_over_enum",
                 "policy": kind.label(),
                 "assoc": 8,
                 "value": x,
-                "target": 2.0,
-                "met": x >= 2.0,
+                "target": KERNEL_OVER_ENUM_TARGET,
+                "met": x >= KERNEL_OVER_ENUM_TARGET,
             }),
             None => missing.push(format!("{} assoc 8 has no kernel row", kind.label())),
         }
     }
-    for kind in TARGET_KINDS {
+    for kind in ASSOC16_KERNEL_KINDS {
         let cell = sweep.iter().find(|m| m.kind == kind && m.assoc == 16);
-        let present = cell.is_some_and(|m| m.kernel.is_ok());
+        let present = cell.is_some_and(|m| m.kernel.is_some());
         if !present {
             missing.push(format!("{} assoc 16 has no kernel row", kind.label()));
         }
@@ -567,23 +449,6 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
             "met": present,
         });
     }
-    // The v2 closure criterion: every deterministic kind at 16 ways has
-    // at least one specialized (table-family or kernel) number. Kinds
-    // skipped as stochastic are typed, not gaps.
-    let gaps: Vec<Json> = sweep
-        .iter()
-        .filter(|m| m.assoc == 16 && m.lazy != Err(Skip::Stochastic) && !m.has_specialized_engine())
-        .map(|m| Json::from(m.kind.label()))
-        .collect();
-    if !gaps.is_empty() {
-        missing.push(format!("assoc 16 gaps: {gaps:?}"));
-    }
-    targets.push(jobj! {
-        "check": "assoc16_no_gaps",
-        "assoc": 16,
-        "gaps": Json::Arr(gaps),
-        "met": missing.iter().all(|m| !m.starts_with("assoc 16 gaps")),
-    });
 
     let path = run.finish(
         &table,
@@ -627,8 +492,8 @@ mod tests {
         };
         for kind in PolicyKind::differential_kinds() {
             for assoc in ASSOCS {
-                // `measure` internally asserts every present engine
-                // (table, lazy, kernel) replays to the enum hit count.
+                // `measure` internally asserts the boxed and kernel
+                // engines replay to the enum hit count.
                 let m = measure(kind, assoc, &cfg);
                 assert!(m.hits > 0, "{kind:?}/{assoc}: degenerate stream");
                 assert!(m.boxed_mops > 0.0 && m.enum_mops > 0.0);
@@ -637,33 +502,22 @@ mod tests {
     }
 
     #[test]
-    fn skip_reasons_are_typed_not_bare() {
+    fn kernel_column_is_measured_or_skipped_as_no_kernel() {
         let cfg = BenchConfig {
             sets: 16,
             accesses: 4_000,
             repeats: 1,
         };
-        // LRU at 16 ways: eager table blows the budget, lazy and kernel
-        // both serve it — the assoc-16 gap this sweep exists to close.
         let m = measure(PolicyKind::Lru, 16, &cfg);
-        assert_eq!(m.table, Err(Skip::TableBlowup));
-        assert!(m.lazy.is_ok());
-        assert!(m.kernel.is_ok());
+        assert!(m.kernel.is_some());
         assert_eq!(m.kernel_name, Some("lru16/swar128"));
-        assert!(m.has_specialized_engine());
-        // A stochastic kind: every table-family engine is typed out.
-        let m = measure(PolicyKind::Random { seed: 7 }, 8, &cfg);
-        assert_eq!(m.table, Err(Skip::Stochastic));
-        assert_eq!(m.lazy, Err(Skip::Stochastic));
-        assert_eq!(m.kernel, Err(Skip::NoKernel));
-        assert!(!m.has_specialized_engine());
-        // A deterministic kind outside the kernel grid keeps its table
-        // columns but records a typed kernel skip.
-        let m = measure(PolicyKind::Clock, 8, &cfg);
-        assert!(m.table.is_ok());
-        assert!(m.lazy.is_ok());
-        assert_eq!(m.kernel, Err(Skip::NoKernel));
-        assert_eq!(m.kernel_name, None);
+        assert!(m.kernel_over_enum().is_some());
+        for kind in [PolicyKind::Random { seed: 7 }, PolicyKind::Clock] {
+            let m = measure(kind, 8, &cfg);
+            assert_eq!(m.kernel, None, "{kind:?}");
+            assert_eq!(m.kernel_name, None, "{kind:?}");
+            assert_eq!(m.kernel_over_enum(), None, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Engine-throughput benchmark: boxed vs enum vs table vs lazy-table vs
-//! batch-kernel access rates for every differential policy kind at
-//! 4/8/16 ways.
+//! Engine-throughput benchmark: boxed vs enum vs batch-kernel access
+//! rates for every differential policy kind at 4/8/16 ways.
 //!
 //! Run with: `cargo run --release -p cachekit-bench --bin bench_access
 //! [-- --smoke]`. The full run writes `results/bench_access.json`;
@@ -9,9 +8,9 @@
 //! code path exercised without clobbering recorded numbers).
 //!
 //! Exits nonzero when a target row is missing from the sweep — e.g. a
-//! (policy, assoc) pair whose batch kernel or eager table no longer
-//! compiles — so regressions in engine coverage fail loudly instead of
-//! silently recording a skip.
+//! (policy, assoc) pair whose batch kernel no longer compiles — so
+//! regressions in engine coverage fail loudly instead of silently
+//! recording a skip.
 
 fn main() {
     let mut smoke = false;

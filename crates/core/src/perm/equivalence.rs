@@ -54,20 +54,38 @@ fn outcome_str(o: &AccessOutcome) -> String {
     }
 }
 
-/// Contents plus policy state of one machine.
-type MachineKey = (Vec<Option<u64>>, Vec<u8>);
-
-/// Joint state key: contents (block per way — the way arrangement matters
-/// to the machines, so keep it as-is) plus the policy state key, for both
-/// machines.
-fn joint_key(a: &CacheSet, b: &CacheSet) -> (MachineKey, MachineKey) {
-    let contents = |s: &CacheSet| -> Vec<Option<u64>> {
-        (0..s.associativity()).map(|w| s.tag_in_way(w)).collect()
-    };
-    (
-        (contents(a), a.policy().state_key()),
-        (contents(b), b.policy().state_key()),
-    )
+/// Joint state key: the contents of both machines (block per way — the
+/// way arrangement matters to the machines, so keep it as-is) plus both
+/// policy state keys.
+///
+/// Blocks are renamed in order of first appearance. The machines compare
+/// tags only for equality, so two joint states that differ by a renaming
+/// of the block universe have the same futures up to that renaming; one
+/// representative per class is enough. This is what keeps an exhaustive
+/// search over eight-way LRU at about `8!` states instead of `9 · 8!²`.
+fn joint_key(a: &CacheSet, b: &CacheSet) -> Vec<u8> {
+    let mut seen: Vec<u64> = Vec::with_capacity(a.associativity() + b.associativity());
+    let mut key = Vec::with_capacity(4 * a.associativity());
+    for set in [a, b] {
+        for w in 0..set.associativity() {
+            // 0 marks an invalid way, `n + 1` the `n`-th distinct block.
+            let code = set.tag_in_way(w).map_or(0, |tag| {
+                let name = seen.iter().position(|&t| t == tag).unwrap_or_else(|| {
+                    seen.push(tag);
+                    seen.len() - 1
+                });
+                name as u16 + 1
+            });
+            key.extend_from_slice(&code.to_le_bytes());
+        }
+    }
+    // Length-prefix the first state key so the pair stays unambiguous.
+    let start = key.len();
+    a.policy().write_state_key(&mut key);
+    let len = key.len() - start;
+    key.splice(start..start, (len as u32).to_le_bytes());
+    b.policy().write_state_key(&mut key);
+    key
 }
 
 /// Exhaustively check observational equivalence of two policies over a
@@ -85,33 +103,66 @@ pub fn equivalent(
     universe: u64,
     max_states: usize,
 ) -> EquivalenceResult {
+    let empty =
+        |p: &dyn ReplacementPolicy| CacheSet::from_state(PolicyState::from_boxed(p.boxed_clone()));
+    equivalent_sets(empty(a), empty(b), universe, max_states)
+}
+
+/// [`equivalent`], starting from two given sets instead of empty ones.
+///
+/// Permutation policies such as tree-PLRU model *full* sets whose
+/// priority order is known, so checking one against a concrete policy
+/// means starting both from the same full state. Counterexamples are
+/// access sequences from the given states.
+///
+/// # Panics
+///
+/// Panics if the associativities differ, `universe` is zero, or a
+/// resident block lies outside the universe.
+pub fn equivalent_sets(
+    a: CacheSet,
+    b: CacheSet,
+    universe: u64,
+    max_states: usize,
+) -> EquivalenceResult {
     assert_eq!(
         a.associativity(),
         b.associativity(),
         "policies must have equal associativity"
     );
     assert!(universe > 0, "universe must be nonempty");
+    assert!(
+        [&a, &b]
+            .iter()
+            .all(|set| set.resident_tags().iter().all(|&tag| tag < universe)),
+        "resident blocks must lie in the universe"
+    );
 
     let mut visited = HashSet::new();
-    // DFS stack of (setA, setB, access path so far).
-    let mut stack = vec![(
-        CacheSet::from_state(PolicyState::from_boxed(a.boxed_clone())),
-        CacheSet::from_state(PolicyState::from_boxed(b.boxed_clone())),
-        Vec::<u64>::new(),
-    )];
-    visited.insert(joint_key(&stack[0].0, &stack[0].1));
+    visited.insert(joint_key(&a, &b));
+    // Access tree of the search: (parent node, block) per explored state,
+    // so a counterexample is rebuilt by walking back from its last node
+    // instead of every stack entry carrying its own copy of the path.
+    let mut trail: Vec<(usize, u64)> = vec![(usize::MAX, 0)];
+    // DFS stack of (setA, setB, trail node).
+    let mut stack = vec![(a, b, 0)];
 
-    while let Some((sa, sb, path)) = stack.pop() {
+    while let Some((sa, sb, node)) = stack.pop() {
         for block in 0..universe {
             let mut na = sa.clone();
             let mut nb = sb.clone();
             let oa = na.access_tag(block);
             let ob = nb.access_tag(block);
-            let mut npath = path.clone();
-            npath.push(block);
             if oa != ob {
+                let mut accesses = vec![block];
+                let mut at = node;
+                while at != 0 {
+                    accesses.push(trail[at].1);
+                    at = trail[at].0;
+                }
+                accesses.reverse();
                 return EquivalenceResult::Diverges(Counterexample {
-                    accesses: npath,
+                    accesses,
                     outcome_a: outcome_str(&oa),
                     outcome_b: outcome_str(&ob),
                 });
@@ -123,7 +174,8 @@ pub fn equivalent(
                         states: visited.len(),
                     };
                 }
-                stack.push((na, nb, npath));
+                trail.push((node, block));
+                stack.push((na, nb, trail.len() - 1));
             }
         }
     }

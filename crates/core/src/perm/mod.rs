@@ -16,29 +16,15 @@
 //! identity, `p = 0`), tree-PLRU and LIP (`p = A - 1`) are permutation
 //! policies; random replacement and policies whose behaviour depends on
 //! physical way indices (bit-PLRU, NRU, RRIP) are not.
-//!
-//! Beyond interpreting specs ([`PermutationPolicy`]), the formalism can be
-//! *compiled*: [`PermTable`] enumerates the reachable states of any
-//! deterministic policy and precomputes `u16` transition tables, turning
-//! every access into a table lookup.
 
 mod catalog;
 mod derive;
 mod equivalence;
-mod lazy;
 mod permutation;
 mod policy;
-mod table;
 
 pub use catalog::{catalog_for, match_spec, CatalogEntry};
 pub use derive::{derive_permutation_spec, detect_insertion_position, DeriveError};
-pub use equivalence::{equivalent, Counterexample, EquivalenceResult};
-pub use lazy::{
-    lazy_table_for_kind, LazyPermTable, LazyTableCache, LazyTablePolicy, DEFAULT_LAZY_STATE_BUDGET,
-    MAX_LAZY_STATE_BUDGET,
-};
+pub use equivalence::{equivalent, equivalent_sets, Counterexample, EquivalenceResult};
 pub use permutation::{Permutation, PermutationError};
 pub use policy::{PermutationPolicy, PermutationSpec, SpecError};
-pub use table::{
-    table_for_kind, PermTable, TableCache, TableError, TablePolicy, TableSet, MAX_STATE_BUDGET,
-};

@@ -1,8 +1,7 @@
 //! Monomorphized per-(policy, associativity) batch access kernels.
 //!
-//! The engines in `docs/engine.md` dispatch a policy event at a time:
-//! the enum engine `match`es per event, the compiled-table engine chases
-//! one `u16` per event. This module goes one step further for the four
+//! The enum engine in `docs/engine.md` dispatches a policy event at a
+//! time, `match`ing per event. This module goes further for the four
 //! policies whose whole replacement state fits in a single machine word
 //! — LRU, FIFO, tree-PLRU and NRU at 4/8/16 ways — and compiles a
 //! **batch access loop per (policy, associativity) pair**, selected once
@@ -39,7 +38,7 @@
 //! measures; [`run_set_stream`] is the single-set entry point
 //! `cachekit-sim`'s `CacheSet::access_many` routes through. Both are
 //! bit-identical to the enum engine — `tests/engine_differential.rs`
-//! pins boxed ≡ enum ≡ table ≡ kernel.
+//! pins boxed ≡ enum ≡ kernel.
 
 use crate::tree_plru::shape_for;
 use crate::{PolicyKind, PolicyState, ReplacementPolicy};

@@ -22,10 +22,9 @@ use crate::{Brrip, Srrip};
 /// Replacement state of one cache set, dispatched by `match` instead of
 /// through a vtable.
 ///
-/// Construct it with [`PolicyKind::build_state`](crate::PolicyKind::build_state)
-/// (the enum sibling of the deprecated `build`), via the `From`
-/// conversions from the concrete policy types, or wrap an arbitrary
-/// boxed policy with [`from_boxed`](Self::from_boxed).
+/// Construct it with [`PolicyKind::build_state`](crate::PolicyKind::build_state),
+/// via the `From` conversions from the concrete policy types, or wrap an
+/// arbitrary boxed policy with [`from_boxed`](Self::from_boxed).
 ///
 /// All trait methods behave bit-identically to the wrapped concrete
 /// policy; `tests/engine_differential.rs` enforces this for every
@@ -63,8 +62,8 @@ pub enum PolicyState {
     /// LRU with lazy promotion.
     LazyLru(LazyLru),
     /// Any policy outside the [`PolicyKind`](crate::PolicyKind) catalog
-    /// (set-dueling DIP/DRRIP members, derived permutation policies,
-    /// compiled-table adapters). Pays the old boxed dispatch cost.
+    /// (set-dueling DIP/DRRIP members, derived permutation policies).
+    /// Pays the old boxed dispatch cost.
     Other(Box<dyn ReplacementPolicy>),
 }
 

@@ -23,11 +23,9 @@ use cachekit_bench::json::Json;
 use cachekit_core::analysis::{evict_distance_spec, minimal_lifespan_spec, DistanceError};
 use cachekit_core::attack::{eviction_set_for_kind, stealth_score};
 use cachekit_core::infer::{engine_by_name, infer_geometry, Finding, InferenceRequest};
-use cachekit_core::perm::{
-    derive_permutation_spec, lazy_table_for_kind, table_for_kind, LazyTablePolicy, TablePolicy,
-};
+use cachekit_core::perm::derive_permutation_spec;
 use cachekit_hw::{fleet, CacheLevel, LevelOracle};
-use cachekit_sim::{Cache, CacheConfig, Containment, Hierarchy};
+use cachekit_sim::{Cache, CacheConfig, Hierarchy};
 use cachekit_trace::{io, workloads};
 
 /// Search budget (oracle steps) for the distance analyses — matches the
@@ -192,43 +190,22 @@ fn run_simulate(req: &SimulateRequest) -> Json {
         );
     };
     let ops = io::with_writes(&workload.trace, req.writes, req.seed);
-    // Engine auto-pick, most specialized first. Pure-read workloads on a
-    // (policy, assoc) pair with a monomorphized batch kernel run through
-    // `Cache::access_many` (SoA slab + SWAR probe). Otherwise deterministic
-    // kinds whose reachable state space fits the eager table budget run on
-    // the compiled-table engine (one lookup per access); kinds that blow
-    // the eager budget but are still deterministic run on the lazy table
-    // (states interned on demand); everything else runs on the inline enum
-    // engine. All four are bit-identical, and the choice is a pure function
-    // of (policy, assoc, writes == 0), so bodies stay cacheable.
+    // Pure-read workloads on a (policy, assoc) pair with a monomorphized
+    // batch kernel run through `Cache::access_many`; everything else runs
+    // per access on the inline enum engine. The two are bit-identical, and
+    // the pick depends only on (policy, assoc, writes == 0), so bodies stay
+    // cacheable.
     let use_kernel = req.writes == 0.0
         && cachekit_policies::kernel::kernel_available(req.policy, config.associativity());
+    let mut cache = Cache::new(config, req.policy);
     let (engine, kernel, stats) = if use_kernel {
-        let mut cache = Cache::new(config, req.policy);
         let name = cache.batch_kernel();
         let addrs: Vec<u64> = ops.iter().map(|op| op.addr).collect();
         cache.access_many(&addrs);
         ("kernel", name, cache.stats())
     } else {
-        let (mut cache, engine) = match table_for_kind(req.policy, config.associativity()) {
-            Some(table) => (
-                Cache::with_policy_factory(config, req.policy.label(), |_| {
-                    Box::new(TablePolicy::new(table.clone()))
-                }),
-                "table",
-            ),
-            None => match lazy_table_for_kind(req.policy, config.associativity()) {
-                Some(table) => (
-                    Cache::with_policy_factory(config, req.policy.label(), |_| {
-                        Box::new(LazyTablePolicy::new(table.clone()))
-                    }),
-                    "lazy_table",
-                ),
-                None => (Cache::new(config, req.policy), "enum"),
-            },
-        };
         let stats = cache.run_ops(ops.iter().map(|op| (op.addr, op.write)));
-        (engine, None, stats)
+        ("enum", None, stats)
     };
     Json::object(vec![
         ("type", Json::from("simulate")),
@@ -255,54 +232,14 @@ fn run_simulate(req: &SimulateRequest) -> Json {
 }
 
 fn run_simulate_hierarchy(req: &SimulateHierarchyRequest) -> Json {
+    // Every level runs on the enum engine: the batch kernels have no
+    // write-back or invalidate edge, which the hierarchy needs under
+    // every containment policy.
     let mut caches = Vec::with_capacity(req.levels.len());
-    let mut engines = Vec::with_capacity(req.levels.len());
     for level in &req.levels {
-        let config = match CacheConfig::new(level.capacity, level.assoc, req.line) {
-            Ok(c) => c,
+        match CacheConfig::new(level.capacity, level.assoc, req.line) {
+            Ok(config) => caches.push(Cache::new(config, level.policy)),
             Err(e) => return error_body("simulate_hierarchy", format!("invalid geometry: {e}")),
-        };
-        // The eagerly-compiled table engine cannot serve back-invalidation
-        // or victim extraction (`TablePolicy` has no invalidate
-        // transition), so levels run on it only under NINE containment,
-        // where lines are never pulled out from under a level. Under
-        // Inclusive/Exclusive the lazy table steps in: its generalized
-        // event alphabet includes `invalidate(w)` and fills at arbitrary
-        // ways, so table-family execution is legal under every containment
-        // policy. We gate the lazy pick on eager compilability — a proxy
-        // for "the reachable state space is small", so the memo warms once
-        // and stays resident — and fall back to the enum engine otherwise.
-        let eager = table_for_kind(level.policy, config.associativity());
-        if req.containment == Containment::Nine {
-            match eager {
-                Some(table) => {
-                    caches.push(Cache::with_policy_factory(
-                        config,
-                        level.policy.label(),
-                        |_| Box::new(TablePolicy::new(table.clone())),
-                    ));
-                    engines.push("table");
-                }
-                None => {
-                    caches.push(Cache::new(config, level.policy));
-                    engines.push("enum");
-                }
-            }
-        } else {
-            match eager.and_then(|_| lazy_table_for_kind(level.policy, config.associativity())) {
-                Some(table) => {
-                    caches.push(Cache::with_policy_factory(
-                        config,
-                        level.policy.label(),
-                        |_| Box::new(LazyTablePolicy::new(table.clone())),
-                    ));
-                    engines.push("lazy_table");
-                }
-                None => {
-                    caches.push(Cache::new(config, level.policy));
-                    engines.push("enum");
-                }
-            }
         }
     }
     let outer_capacity = req
@@ -330,13 +267,12 @@ fn run_simulate_hierarchy(req: &SimulateHierarchyRequest) -> Json {
         .levels
         .iter()
         .zip(hierarchy.stats())
-        .zip(&engines)
-        .map(|((level, stats), engine)| {
+        .map(|(level, stats)| {
             Json::object(vec![
                 ("policy", Json::from(level.policy.label())),
                 ("capacity", Json::from(level.capacity)),
                 ("assoc", Json::from(level.assoc)),
-                ("engine", Json::from(*engine)),
+                ("engine", Json::from("enum")),
                 ("accesses", Json::from(stats.accesses)),
                 ("hits", Json::from(stats.hits)),
                 ("misses", Json::from(stats.misses)),
@@ -535,22 +471,60 @@ mod tests {
     }
 
     #[test]
-    fn simulate_picks_the_table_engine_for_compilable_kinds() {
-        // PLRU at 8 ways has a small reachable space, and the write
-        // fraction disqualifies the read-only batch kernel: table engine.
-        let req = parse(
-            r#"{"type":"simulate","policy":"PLRU","capacity":65536,"assoc":8,
-                "workload":"zipf_hot","writes":0.2}"#,
-        );
-        let body = PipelineExecutor.execute(&req).to_compact();
-        assert!(body.contains("\"engine\":\"table\""), "body: {body}");
-        // BIP is stochastic: enum engine.
-        let req = parse(
-            r#"{"type":"simulate","policy":"BIP","capacity":65536,"assoc":8,
-                "workload":"zipf_hot"}"#,
-        );
-        let body = PipelineExecutor.execute(&req).to_compact();
-        assert!(body.contains("\"engine\":\"enum\""), "body: {body}");
+    fn simulate_engine_is_kernel_for_pure_read_kernel_pairs_and_enum_otherwise() {
+        let flat = |policy: &str, assoc: usize, writes: f64| {
+            format!(
+                r#"{{"type":"simulate","policy":"{policy}","capacity":65536,
+                    "assoc":{assoc},"workload":"zipf_hot","writes":{writes}}}"#
+            )
+        };
+        // Kernel pairs on both levels: it is the hierarchy, not the pair,
+        // that keeps them off the kernel.
+        let hierarchy = |containment: &str| {
+            format!(
+                r#"{{"type":"simulate_hierarchy","workload":"fit_loop",
+                    "containment":"{containment}","levels":[
+                    {{"policy":"PLRU","capacity":8192,"assoc":4}},
+                    {{"policy":"LRU","capacity":65536,"assoc":16}}]}}"#
+            )
+        };
+        let cases = [
+            (flat("LRU", 8, 0.0), "kernel"),
+            (flat("FIFO", 4, 0.0), "kernel"),
+            (flat("PLRU", 16, 0.0), "kernel"),
+            (flat("NRU", 16, 0.0), "kernel"),
+            // Writes.
+            (flat("PLRU", 8, 0.2), "enum"),
+            (flat("LRU", 16, 0.2), "enum"),
+            // No kernel for the pair.
+            (flat("CLOCK", 8, 0.0), "enum"),
+            (flat("SRRIP-2", 8, 0.0), "enum"),
+            (flat("LIP", 16, 0.0), "enum"),
+            // Stochastic.
+            (flat("BIP", 8, 0.0), "enum"),
+            (hierarchy("nine"), "enum"),
+            (hierarchy("inclusive"), "enum"),
+            (hierarchy("exclusive"), "enum"),
+        ];
+        for (request, want) in cases {
+            let body = PipelineExecutor.execute(&parse(&request));
+            assert_eq!(
+                body.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{request}"
+            );
+            let engines: Vec<Option<&str>> = match body.get("levels") {
+                Some(Json::Arr(levels)) => levels
+                    .iter()
+                    .map(|l| l.get("engine").and_then(Json::as_str))
+                    .collect(),
+                _ => vec![body.get("engine").and_then(Json::as_str)],
+            };
+            assert!(!engines.is_empty(), "{request}");
+            for engine in engines {
+                assert_eq!(engine, Some(want), "{request}");
+            }
+        }
     }
 
     #[test]
@@ -568,7 +542,7 @@ mod tests {
             "body: {body}"
         );
         assert_eq!(body, PipelineExecutor.execute(&req).to_compact());
-        // Any write traffic falls back to the per-access table path.
+        // Any write traffic falls back to the per-access enum engine.
         let req = parse(
             r#"{"type":"simulate","policy":"LRU","capacity":131072,"assoc":16,
                 "workload":"zipf_hot","writes":0.1}"#,
@@ -576,20 +550,6 @@ mod tests {
         let body = PipelineExecutor.execute(&req).to_compact();
         assert!(!body.contains("\"engine\":\"kernel\""), "body: {body}");
         assert!(body.contains("\"kernel\":null"), "body: {body}");
-    }
-
-    #[test]
-    fn simulate_lazy_table_serves_kinds_that_blow_the_eager_budget() {
-        // LRU at 16 ways with writes: 16! permutations blow the eager
-        // table budget, but the lazy table interns only reached states.
-        let req = parse(
-            r#"{"type":"simulate","policy":"LRU","capacity":131072,"assoc":16,
-                "workload":"zipf_hot","writes":0.2}"#,
-        );
-        let body = PipelineExecutor.execute(&req).to_compact();
-        assert!(body.contains("\"engine\":\"lazy_table\""), "body: {body}");
-        assert!(body.contains("\"ok\":true"), "body: {body}");
-        assert_eq!(body, PipelineExecutor.execute(&req).to_compact());
     }
 
     #[test]
@@ -619,27 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn table_engine_stats_are_bit_identical_to_the_enum_engine() {
-        use cachekit_policies::PolicyKind;
-        for kind in [PolicyKind::Lru, PolicyKind::TreePlru, PolicyKind::Fifo] {
-            let config = CacheConfig::new(16384, 8, 64).unwrap();
-            let table = table_for_kind(kind, 8).expect("kind should compile at 8 ways");
-            let mut tabled = Cache::with_policy_factory(config, kind.label(), |_| {
-                Box::new(TablePolicy::new(table.clone()))
-            });
-            let mut enumed = Cache::new(config, kind);
-            let suite = workloads::suite(16384, 64, 7);
-            for w in &suite {
-                let ops = io::with_writes(&w.trace, 0.3, 7);
-                let a = tabled.run_ops(ops.iter().map(|op| (op.addr, op.write)));
-                let b = enumed.run_ops(ops.iter().map(|op| (op.addr, op.write)));
-                assert_eq!(a, b, "{kind:?} diverged on workload {}", w.name);
-            }
-            assert_eq!(tabled.occupancy(), enumed.occupancy(), "{kind:?}");
-        }
-    }
-
-    #[test]
     fn simulate_hierarchy_reports_per_level_stats_and_amat() {
         let req = parse(
             r#"{"type":"simulate_hierarchy","workload":"thrash_loop","containment":"inclusive",
@@ -655,92 +594,6 @@ mod tests {
         assert!(body.contains("\"amat_cycles\":"), "body: {body}");
         assert!(body.contains("\"back_invalidations\":"), "body: {body}");
         assert_eq!(body, PipelineExecutor.execute(&req).to_compact());
-    }
-
-    #[test]
-    fn simulate_hierarchy_engine_pick_depends_on_containment() {
-        // PLRU at 4 ways compiles to an eager table, but `TablePolicy`
-        // has no invalidate transition — only NINE containment (where no
-        // line is ever pulled out from under a level) may use it. Under
-        // Inclusive/Exclusive the lazy table, whose event alphabet
-        // includes invalidation, takes over.
-        let nine = parse(
-            r#"{"type":"simulate_hierarchy","workload":"fit_loop","containment":"nine",
-                "levels":[{"policy":"PLRU","capacity":8192,"assoc":4},
-                          {"policy":"PLRU","capacity":65536,"assoc":4}]}"#,
-        );
-        let body = PipelineExecutor.execute(&nine).to_compact();
-        assert!(body.contains("\"engine\":\"table\""), "body: {body}");
-        assert!(!body.contains("\"engine\":\"lazy_table\""), "body: {body}");
-        for containment in ["inclusive", "exclusive"] {
-            let req = parse(&format!(
-                r#"{{"type":"simulate_hierarchy","workload":"fit_loop",
-                    "containment":"{containment}","levels":[
-                    {{"policy":"PLRU","capacity":8192,"assoc":4}},
-                    {{"policy":"PLRU","capacity":65536,"assoc":4}}]}}"#
-            ));
-            let body = PipelineExecutor.execute(&req).to_compact();
-            assert!(!body.contains("\"engine\":\"table\""), "body: {body}");
-            assert!(body.contains("\"engine\":\"lazy_table\""), "body: {body}");
-            assert!(body.contains("\"ok\":true"), "body: {body}");
-        }
-        // A kind outside the eager budget (LRU at 16) stays on the enum
-        // engine under invalidating containments: the smallness gate
-        // keeps the lazy memo from growing without bound in a server.
-        let big = parse(
-            r#"{"type":"simulate_hierarchy","workload":"fit_loop","containment":"inclusive",
-                "levels":[{"policy":"LRU","capacity":16384,"assoc":16},
-                          {"policy":"LRU","capacity":131072,"assoc":16}]}"#,
-        );
-        let body = PipelineExecutor.execute(&big).to_compact();
-        assert!(body.contains("\"engine\":\"enum\""), "body: {body}");
-        assert!(!body.contains("\"engine\":\"lazy_table\""), "body: {body}");
-    }
-
-    #[test]
-    fn lazy_table_hierarchy_stats_are_bit_identical_to_the_enum_engine() {
-        use cachekit_policies::PolicyKind;
-        for containment in [Containment::Inclusive, Containment::Exclusive] {
-            for kind in [PolicyKind::TreePlru, PolicyKind::Fifo] {
-                let build = |lazy: bool| {
-                    let caches: Vec<Cache> = [(8192u64, 4usize), (65536, 4)]
-                        .iter()
-                        .map(|&(capacity, assoc)| {
-                            let config = CacheConfig::new(capacity, assoc, 64).unwrap();
-                            if lazy {
-                                let table =
-                                    lazy_table_for_kind(kind, assoc).expect("deterministic kind");
-                                Cache::with_policy_factory(config, kind.label(), |_| {
-                                    Box::new(LazyTablePolicy::new(table.clone()))
-                                })
-                            } else {
-                                Cache::new(config, kind)
-                            }
-                        })
-                        .collect();
-                    Hierarchy::from_caches(caches).with_containment(containment)
-                };
-                let mut lazy = build(true);
-                let mut enumed = build(false);
-                let suite = workloads::suite(65536, 64, 11);
-                for w in &suite {
-                    for op in io::with_writes(&w.trace, 0.3, 11) {
-                        lazy.access_op(op.addr, op.write);
-                        enumed.access_op(op.addr, op.write);
-                    }
-                }
-                assert_eq!(
-                    lazy.stats(),
-                    enumed.stats(),
-                    "{kind:?} diverged under {containment:?}"
-                );
-                assert_eq!(
-                    lazy.hierarchy_stats(),
-                    enumed.hierarchy_stats(),
-                    "{kind:?} under {containment:?}"
-                );
-            }
-        }
     }
 
     #[test]

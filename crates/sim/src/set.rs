@@ -207,19 +207,6 @@ impl CacheSet {
         }
     }
 
-    /// Create a set using the given boxed policy instance.
-    ///
-    /// Compatibility shim: the box is wrapped in
-    /// [`PolicyState::from_boxed`] and keeps its dynamic-dispatch cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's associativity is zero or above 128.
-    #[deprecated(note = "use `from_state` (`PolicyState::from_boxed` wraps a boxed policy)")]
-    pub fn new(policy: Box<dyn ReplacementPolicy>) -> Self {
-        Self::from_state(PolicyState::from_boxed(policy))
-    }
-
     /// Number of ways.
     pub fn associativity(&self) -> usize {
         self.tags.len()
@@ -592,9 +579,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn boxed_constructor_still_works() {
-        let mut s = CacheSet::new(Box::new(Lru::new(2)));
+    fn boxed_policy_state_still_works() {
+        let mut s = CacheSet::from_state(PolicyState::from_boxed(Box::new(Lru::new(2))));
         s.access(1);
         s.access(2);
         assert!(matches!(

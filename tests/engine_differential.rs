@@ -1,17 +1,14 @@
 //! Cross-engine differential suite: the three policy execution engines
-//! (boxed trait objects, the inline enum, compiled transition tables)
-//! must be **bit-identical** — same hits and misses, same victims, same
-//! final set contents — on every differential policy kind.
+//! (boxed trait objects, the inline enum, the monomorphized batch
+//! kernels) must be **bit-identical** — same hits and misses, same
+//! victims, same final set contents — on every differential policy kind.
 //!
 //! The boxed engine here is a faithful local replica of the
 //! pre-refactor cache set (array-of-`Option` tags driving concrete
 //! policies behind `Box<dyn ReplacementPolicy>`), so the suite pins the
 //! refactor's semantics to the original substrate, not to itself.
 
-use cachekit::core::perm::{
-    catalog_for, lazy_table_for_kind, table_for_kind, LazyPermTable, LazyTableCache,
-    LazyTablePolicy, PermTable, PermutationPolicy, TableSet,
-};
+use cachekit::core::perm::{catalog_for, equivalent, equivalent_sets, PermutationPolicy};
 use cachekit::policies::conformance::{assert_conformance, assert_state_key_soundness};
 use cachekit::policies::kernel::KernelCache;
 use cachekit::policies::rng::{mix64, Prng};
@@ -20,9 +17,11 @@ use cachekit::policies::{
     RandomPolicy, ReplacementPolicy, Slru, Srrip, TreePlru,
 };
 use cachekit::sim::{AccessOutcome, CacheSet};
-use std::sync::Arc;
 
 const ASSOCS: [usize; 3] = [4, 8, 16];
+
+/// Product-state budget of the catalog equivalence check.
+const CATALOG_STATE_BUDGET: usize = 2_000_000;
 
 /// Replica of the pre-refactor set representation.
 struct BoxedSet {
@@ -127,174 +126,6 @@ fn boxed_and_enum_engines_are_bit_identical() {
 }
 
 #[test]
-fn table_engine_is_bit_identical_where_it_compiles() {
-    // These kinds must compile within the budget at the listed
-    // associativities; their absence would silently weaken the suite.
-    let must_compile: &[(PolicyKind, &[usize])] = &[
-        (PolicyKind::Lru, &[4, 8]),
-        (PolicyKind::Fifo, &[4, 8, 16]),
-        (PolicyKind::TreePlru, &[4, 8]),
-        (PolicyKind::Lip, &[4, 8]),
-        (PolicyKind::Slru { protected: 2 }, &[4, 8]),
-        (PolicyKind::LazyLru, &[4, 8]),
-    ];
-    for &(kind, assocs) in must_compile {
-        for &assoc in assocs {
-            assert!(
-                table_for_kind(kind, assoc).is_some(),
-                "{kind:?} at {assoc} ways must be table-compilable"
-            );
-        }
-    }
-    for kind in PolicyKind::differential_kinds() {
-        for assoc in ASSOCS {
-            let Some(table) = table_for_kind(kind, assoc) else {
-                continue;
-            };
-            let mut tabled = TableSet::new(table);
-            let mut enumed = CacheSet::from_state(kind.build_state(assoc, 0));
-            for (i, &tag) in stream(assoc, 4000, 0x7AB1E).iter().enumerate() {
-                let a = tabled.access(tag);
-                let b = enumed.access_tag(tag);
-                assert_eq!(a, b, "{kind:?} A={assoc} diverged at access {i}");
-            }
-            for w in 0..assoc {
-                assert_eq!(
-                    tabled.tag_in_way(w),
-                    enumed.tag_in_way(w),
-                    "{kind:?} A={assoc} final contents differ in way {w}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn lazy_table_engine_is_bit_identical_for_every_deterministic_kind() {
-    // The lazy table's coverage is exactly the deterministic kinds — at
-    // *every* associativity, including the assoc-16 spaces the eager
-    // compiler cannot afford (LRU at 16 ways is 16! states).
-    for kind in PolicyKind::differential_kinds() {
-        for assoc in ASSOCS {
-            let lazy = lazy_table_for_kind(kind, assoc);
-            assert_eq!(
-                lazy.is_some(),
-                kind.is_deterministic(),
-                "{kind:?} at {assoc} ways: lazy availability must track determinism"
-            );
-            let Some(table) = lazy else { continue };
-            let mut lazed = CacheSet::from_state(PolicyState::from_boxed(Box::new(
-                LazyTablePolicy::new(table),
-            )));
-            let mut enumed = CacheSet::from_state(kind.build_state(assoc, 0));
-            for (i, &tag) in stream(assoc, 4000, 0x1A2 ^ assoc as u64).iter().enumerate() {
-                let a = lazed.access_tag(tag);
-                let b = enumed.access_tag(tag);
-                assert_eq!(a, b, "{kind:?} A={assoc} diverged at access {i}");
-            }
-            for w in 0..assoc {
-                assert_eq!(
-                    lazed.tag_in_way(w),
-                    enumed.tag_in_way(w),
-                    "{kind:?} A={assoc} final contents differ in way {w}"
-                );
-            }
-            assert_eq!(
-                lazed.policy().state_key(),
-                enumed.policy().state_key(),
-                "{kind:?} A={assoc} final replacement state differs"
-            );
-        }
-    }
-}
-
-#[test]
-fn lazy_table_engine_is_bit_identical_under_invalidation() {
-    // The eager table has no invalidate transition; the lazy alphabet
-    // does. Interleave accesses with invalidations of random resident
-    // tags and require lock-step agreement with the enum engine.
-    for kind in PolicyKind::differential_kinds() {
-        if !kind.is_deterministic() {
-            continue;
-        }
-        for assoc in [4usize, 8, 16] {
-            let table = lazy_table_for_kind(kind, assoc).expect("deterministic kind");
-            let mut lazed = CacheSet::from_state(PolicyState::from_boxed(Box::new(
-                LazyTablePolicy::new(table),
-            )));
-            let mut enumed = CacheSet::from_state(kind.build_state(assoc, 0));
-            let mut rng = Prng::seed_from_u64(0x1BAD ^ assoc as u64);
-            for i in 0..4000 {
-                if rng.gen_bool(0.15) {
-                    let tag = rng.gen_range(0..6 * assoc as u64);
-                    assert_eq!(
-                        lazed.invalidate(tag),
-                        enumed.invalidate(tag),
-                        "{kind:?} A={assoc} invalidate diverged at step {i}"
-                    );
-                } else {
-                    let tag = if rng.gen_bool(0.5) {
-                        rng.gen_range(0..assoc as u64)
-                    } else {
-                        rng.gen_range(0..6 * assoc as u64)
-                    };
-                    assert_eq!(
-                        lazed.access_tag(tag),
-                        enumed.access_tag(tag),
-                        "{kind:?} A={assoc} diverged at step {i}"
-                    );
-                }
-            }
-            assert_eq!(
-                lazed.policy().state_key(),
-                enumed.policy().state_key(),
-                "{kind:?} A={assoc} final replacement state differs"
-            );
-        }
-    }
-}
-
-#[test]
-fn saturated_lazy_memo_stays_bit_identical_via_direct_fallback() {
-    // With an absurdly small state budget the memo saturates almost
-    // immediately; overflowing sets must degrade to concrete (direct)
-    // execution, never to divergence.
-    for kind in [PolicyKind::Lru, PolicyKind::TreePlru, PolicyKind::Nru] {
-        let assoc = 8;
-        let template = kind.build_state(assoc, 0);
-        let table = Arc::new(LazyPermTable::new(&template, 4).expect("deterministic template"));
-        let mut lazed = LazyTableCache::new(table.clone(), 8);
-        let mut enumed: Vec<CacheSet> = (0..8)
-            .map(|s| CacheSet::from_state(kind.build_state(assoc, s)))
-            .collect();
-        let mut rng = Prng::seed_from_u64(0x5A7);
-        for i in 0..20_000 {
-            let set = rng.gen_range(0..8) as usize;
-            let tag = rng.gen_range(0..6 * assoc as u64);
-            assert_eq!(
-                lazed.access(set, tag).is_hit(),
-                enumed[set].access_tag(tag).is_hit(),
-                "{kind:?} diverged at step {i}"
-            );
-        }
-        assert!(table.saturated(), "budget 4 must saturate {kind:?}");
-        assert!(
-            lazed.direct_sets() > 0,
-            "{kind:?}: saturation must push sets into direct mode"
-        );
-        for (set, en) in enumed.iter().enumerate().take(8) {
-            for w in 0..assoc {
-                assert_eq!(
-                    lazed.tag_in_way(set, w),
-                    en.tag_in_way(w),
-                    "{kind:?} set {set} way {w} differs"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn batch_kernels_are_bit_identical_across_the_whole_grid() {
     // Every monomorphized (policy, assoc) kernel — LRU/FIFO/PLRU/NRU at
     // 4/8/16 ways — replayed at cache scale against per-access enum
@@ -348,68 +179,6 @@ fn batch_kernels_are_bit_identical_across_the_whole_grid() {
 }
 
 #[test]
-fn concurrent_lazy_memo_is_bit_identical_across_eight_threads() {
-    // Eight threads hammer ONE shared lock-free memo (CAS-published
-    // rows), each driving its own sets over its own stream. Every
-    // thread must end bit-identical to a single-threaded enum replay of
-    // the same stream — regardless of interleaving, lost CAS races, or
-    // which thread interned which state first.
-    use std::thread;
-    let assoc = 16usize;
-    let kind = PolicyKind::Lru; // 16! states: the memo actually grows.
-    let template = kind.build_state(assoc, 0);
-    let table = Arc::new(LazyPermTable::new(&template, 1 << 14).expect("deterministic"));
-    let streams: Vec<Vec<(u32, u64)>> = (0..8)
-        .map(|t| {
-            let mut rng = Prng::seed_from_u64(0xC0CC ^ t);
-            (0..30_000)
-                .map(|_| {
-                    let set = rng.gen_range(0..16) as u32;
-                    let tag = if rng.gen_bool(0.5) {
-                        rng.gen_range(0..assoc as u64)
-                    } else {
-                        rng.gen_range(0..6 * assoc as u64)
-                    };
-                    (set, tag)
-                })
-                .collect()
-        })
-        .collect();
-    let got: Vec<u64> = thread::scope(|scope| {
-        let handles: Vec<_> = streams
-            .iter()
-            .map(|stream| {
-                let table = table.clone();
-                scope.spawn(move || {
-                    let mut cache = LazyTableCache::new(table, 16);
-                    cache.access_many(stream).0
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (t, (stream, &hits)) in streams.iter().zip(&got).enumerate() {
-        let mut enumed: Vec<CacheSet> = (0..16)
-            .map(|_| CacheSet::from_state(kind.build_state(assoc, 0)))
-            .collect();
-        let mut want = 0u64;
-        for &(set, tag) in stream {
-            want += u64::from(enumed[set as usize].access_tag(tag).is_hit());
-        }
-        assert_eq!(hits, want, "thread {t} diverged from the enum replay");
-    }
-}
-
-#[test]
-fn oversized_state_spaces_fall_back_to_the_enum_engine() {
-    // Full LRU at 16 ways has 16! priority orders — far over the u16
-    // budget. The memoized lookup must report that honestly (and the
-    // serving layer then falls back to the enum engine).
-    assert!(table_for_kind(PolicyKind::Lru, 16).is_none());
-    assert!(table_for_kind(PolicyKind::Lip, 16).is_none());
-}
-
-#[test]
 fn enum_engine_passes_policy_conformance_for_all_differential_kinds() {
     for kind in PolicyKind::differential_kinds() {
         for assoc in ASSOCS {
@@ -432,26 +201,65 @@ fn enum_engine_state_keys_are_sound_for_all_deterministic_kinds() {
 }
 
 #[test]
-fn catalog_specs_round_trip_through_compiled_tables() {
-    // Every deterministic permutation kind in the catalog: compiling the
-    // spec must replay the spec interpreter's hit/miss trace exactly.
+fn catalog_specs_are_equivalent_to_their_enum_policies() {
+    // Every catalog spec, run by the permutation interpreter, must be
+    // observationally equivalent to the enum engine's policy of the same
+    // name: an exhaustive product-state search over a universe of one
+    // block more than the associativity, so every eviction is reachable.
     for assoc in [4usize, 8] {
         for entry in catalog_for(assoc) {
-            let table = PermTable::from_spec(&entry.spec, 65_535)
-                .unwrap_or_else(|e| panic!("{} at {assoc} ways: {e}", entry.name));
-            let mut tabled = TableSet::new(Arc::new(table));
-            let mut interp = CacheSet::from_state(PolicyState::from_boxed(Box::new(
-                PermutationPolicy::new(entry.spec.clone()),
-            )));
-            for (i, &tag) in stream(assoc, 3000, 0xCA7A).iter().enumerate() {
-                let a = tabled.access(tag);
-                let b = interp.access_tag(tag);
-                assert_eq!(
-                    a, b,
-                    "catalog {} A={assoc} diverged at access {i}",
-                    entry.name
-                );
-            }
+            let kind = match entry.name {
+                "LRU" => PolicyKind::Lru,
+                "FIFO" => PolicyKind::Fifo,
+                "LIP" => PolicyKind::Lip,
+                "PLRU" => PolicyKind::TreePlru,
+                other => panic!("catalog entry {other} has no enum policy"),
+            };
+            let interp = PermutationPolicy::new(entry.spec.clone());
+            let enumed = kind.build_state(assoc, 0);
+            let universe = assoc as u64 + 1;
+            let result = if kind == PolicyKind::TreePlru {
+                let (interp, tree) = synchronized_full_sets(interp, enumed);
+                equivalent_sets(interp, tree, universe, CATALOG_STATE_BUDGET)
+            } else {
+                equivalent(&interp, &enumed, universe, CATALOG_STATE_BUDGET)
+            };
+            assert!(
+                result.is_equivalent(),
+                "catalog {} A={assoc}: {result:?}",
+                entry.name
+            );
         }
     }
+}
+
+/// Sets holding blocks `0..A`, the interpreter's priority order matched
+/// to the tree's. A permutation spec models a full set with a known
+/// order: cold fills into invalid ways are outside the model, and
+/// tree-PLRU takes them differently, so the check starts where the model
+/// applies. The tree's order is the one in which fresh misses would evict
+/// its blocks, read from a scratch copy.
+fn synchronized_full_sets(interp: PermutationPolicy, tree: PolicyState) -> (CacheSet, CacheSet) {
+    let assoc = tree.associativity() as u64;
+    let mut interp = CacheSet::from_state(PolicyState::from_boxed(Box::new(interp)));
+    let mut tree = CacheSet::from_state(tree);
+    for block in 0..assoc {
+        interp.access_tag(block);
+        tree.access_tag(block);
+    }
+    let mut scratch = tree.clone();
+    for fresh in assoc..2 * assoc {
+        let AccessOutcome::Miss {
+            evicted: Some(block),
+        } = scratch.access_tag(fresh)
+        else {
+            panic!("a fresh block must evict a resident one");
+        };
+        assert!(block < assoc, "fresh misses must evict the set's blocks");
+        // Refilling the only invalid way moves that way to the front,
+        // so refilling in eviction order leaves the first victim last.
+        interp.invalidate(block);
+        interp.access_tag(block);
+    }
+    (interp, tree)
 }
