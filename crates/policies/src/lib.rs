@@ -138,10 +138,10 @@ pub trait ReplacementPolicy: fmt::Debug + Send + Sync {
     /// Append the [`state_key`](Self::state_key) bytes to `out` without
     /// allocating.
     ///
-    /// Exploration loops (reachability, eviction distances, table
-    /// compilation) call this once per explored state; the default
-    /// implementation falls back to `state_key()` and allocates, so every
-    /// in-tree policy overrides it to write its state bytes directly.
+    /// Exploration loops (reachability, eviction distances) call this
+    /// once per explored state; the default implementation falls back to
+    /// `state_key()` and allocates, so every in-tree policy overrides it
+    /// to write its state bytes directly.
     /// Implementations must append exactly the bytes `state_key()` would
     /// return and must not otherwise touch `out`.
     fn write_state_key(&self, out: &mut Vec<u8>) {
