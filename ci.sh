@@ -26,11 +26,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --release
 run cargo test -q
 
-# The unit tests inside crates/*/src. The workspace root is itself a
-# package, so the tier-1 `cargo test -q` above runs only the umbrella
-# crate's tests; this stage runs every member's lib and bin tests
-# (the kernel fast-path pins, serve's engine-pick test, ...) at release
-# optimisation.
+# The unit tests inside crates/*/src at release optimisation. Tier-1
+# above already runs them in debug (the root manifest's
+# default-members covers every crate); this stage reruns the cases
+# that debug builds trim (hw's whole-fleet survey, ...) in full.
 run cargo test -q --release --workspace --lib --bins
 
 # The fault-injection kit at release optimisation (the differential

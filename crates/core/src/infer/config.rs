@@ -54,11 +54,12 @@ pub struct InferenceConfig {
     pub repetitions: usize,
     /// Ceiling the adaptive retry engine may escalate the per-query
     /// repetition count to (doubling on disagreement). Equal to
-    /// `repetitions` disables escalation. Only the robust entry points
-    /// ([`infer_policy_robust`](crate::infer::infer_policy_robust))
-    /// escalate; the classic pipeline always uses `repetitions`.
+    /// `repetitions` disables escalation. Only the engines'
+    /// ([`InferenceEngine`](crate::infer::InferenceEngine)) read-out and
+    /// membership queries escalate; geometry inference and validation
+    /// always use `repetitions`.
     pub max_repetitions: usize,
-    /// Hard ceiling on raw oracle attempts for one robust campaign;
+    /// Hard ceiling on raw oracle attempts for one engine campaign;
     /// `None` = unlimited. When the budget runs dry the campaign
     /// returns a degraded partial result instead of guessing.
     pub measurement_budget: Option<u64>,
@@ -116,7 +117,7 @@ impl InferenceConfig {
         }
     }
 
-    /// The vote plan the robust pipeline derives from this
+    /// The vote plan the inference engines derive from this
     /// configuration: adaptive between `repetitions` and
     /// `max_repetitions`, escalating towards `min_confidence`.
     pub fn vote_plan(&self) -> crate::infer::VotePlan {
@@ -124,7 +125,7 @@ impl InferenceConfig {
             .with_confidence(self.min_confidence)
     }
 
-    /// The measurement budget the robust pipeline starts from.
+    /// The measurement budget an inference engine campaign starts from.
     pub fn budget(&self) -> crate::infer::MeasurementBudget {
         match self.measurement_budget {
             Some(limit) => crate::infer::MeasurementBudget::of(limit),
@@ -254,7 +255,7 @@ impl InferenceConfigBuilder {
         self
     }
 
-    /// Hard ceiling on raw oracle attempts for a robust campaign.
+    /// Hard ceiling on raw oracle attempts for an engine campaign.
     pub fn measurement_budget(mut self, budget: u64) -> Self {
         self.config.measurement_budget = Some(budget);
         self
@@ -404,7 +405,7 @@ pub enum InferenceError {
     },
     /// The campaign's measurement budget ran dry before the pipeline
     /// finished; the accompanying
-    /// [`InferenceResult`](crate::infer::InferenceResult) carries
+    /// [`InferenceReport`](crate::infer::InferenceReport) carries
     /// whatever partial evidence was gathered (`degraded: true`).
     BudgetExhausted {
         /// Raw oracle attempts spent.

@@ -11,9 +11,10 @@
 //! regardless of backend.
 //!
 //! * [`PermutationEngine`] — the paper's pipeline: fast, but only
-//!   policies expressible as permutation vectors. Budgeted by default
-//!   (the robust serving path); [`PermutationEngine::strict`] gives the
-//!   classic fail-fast variant.
+//!   policies expressible as permutation vectors. Every run is budgeted
+//!   and fault tolerant; [`PermutationEngine::budgeted`] and
+//!   [`PermutationEngine::strict`] differ only in their channel-noise
+//!   estimate.
 //! * [`AutomataEngine`] — the L*-style Mealy-machine learner in
 //!   [`crate::automata`]: slower, but identifies NRU, CLOCK, bit-PLRU
 //!   and QLRU-class policies the permutation formalism must reject, and
@@ -44,7 +45,7 @@
 use crate::automata::{infer_automaton_metered, AutomataConfig, AutomatonReport};
 use crate::infer::oracle::CacheOracle;
 use crate::infer::policy::PolicyReport;
-use crate::infer::robust::InferenceResult;
+use crate::infer::robust::{infer_permutation, NoiseEstimate};
 use crate::infer::{Geometry, InferenceConfig, InferenceError};
 
 /// Everything an engine needs to run one inference campaign: the
@@ -186,25 +187,47 @@ pub trait InferenceEngine {
 }
 
 /// The permutation-formalism engine (the paper's pipeline).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// Both constructors run the same budgeted pipeline with the request's
+/// vote plan and measurement budget; they differ only in how the
+/// pipeline estimates channel noise before validation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PermutationEngine {
-    strict: bool,
+    noise: NoiseEstimate,
 }
 
 impl PermutationEngine {
-    /// The budgeted, fault-tolerant serving variant
-    /// ([`infer_policy_robust`](crate::infer::infer_policy_robust)
-    /// semantics): degraded partial reports instead of unbounded
-    /// spending. This is the default.
+    /// The serving variant, and the default: the noise estimate is 100
+    /// single-access readings. Under per-measurement faults (Fig. 11)
+    /// it keeps more accuracy than [`strict`](Self::strict)'s single
+    /// 200-probe reading.
     pub fn budgeted() -> Self {
-        Self { strict: false }
+        Self {
+            noise: NoiseEstimate {
+                readings: 100,
+                probes: 1,
+            },
+        }
     }
 
-    /// The classic fail-fast variant
-    /// ([`infer_policy`](crate::infer::infer_policy) semantics): no
-    /// budget accounting, first inconsistency aborts.
+    /// The paper's variant, used by the table and figure binaries: the
+    /// noise estimate is one reading of 200 warm probes, as in
+    /// [`estimate_counter_noise`](crate::infer::estimate_counter_noise).
+    /// Under per-access counter noise (Fig. 2) it keeps more accuracy
+    /// than [`budgeted`](Self::budgeted)'s 100 readings.
     pub fn strict() -> Self {
-        Self { strict: true }
+        Self {
+            noise: NoiseEstimate {
+                readings: 1,
+                probes: 200,
+            },
+        }
+    }
+}
+
+impl Default for PermutationEngine {
+    fn default() -> Self {
+        Self::budgeted()
     }
 }
 
@@ -214,48 +237,7 @@ impl InferenceEngine for PermutationEngine {
     }
 
     fn infer(&self, oracle: &mut dyn CacheOracle, request: &InferenceRequest) -> InferenceReport {
-        #[allow(deprecated)]
-        if self.strict {
-            let outcome = crate::infer::policy::infer_policy(
-                &mut &mut *oracle,
-                &request.geometry,
-                &request.config,
-            );
-            let ok = outcome.is_ok();
-            InferenceReport {
-                engine: self.name(),
-                outcome: outcome.map(Finding::Permutation),
-                degraded: false,
-                confidence: if ok { 1.0 } else { 0.0 },
-                position_confidences: Vec::new(),
-                measurements_used: 0,
-                measurement_budget: None,
-                timeouts: 0,
-                dropped: 0,
-            }
-        } else {
-            let result = crate::infer::robust::infer_policy_robust(
-                &mut &mut *oracle,
-                &request.geometry,
-                &request.config,
-            );
-            report_from_robust(self.name(), result)
-        }
-    }
-}
-
-/// Map the robust pipeline's result shape onto the unified report.
-fn report_from_robust(engine: &'static str, result: InferenceResult) -> InferenceReport {
-    InferenceReport {
-        engine,
-        outcome: result.outcome.map(Finding::Permutation),
-        degraded: result.degraded,
-        confidence: result.confidence,
-        position_confidences: result.position_confidences,
-        measurements_used: result.measurements_used,
-        measurement_budget: result.measurement_budget,
-        timeouts: result.timeouts,
-        dropped: result.dropped,
+        infer_permutation(oracle, request, self.noise)
     }
 }
 
@@ -393,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn permutation_engine_matches_the_strict_pipeline() {
+    fn both_permutation_engines_identify_lru() {
         let mut o = oracle(PolicyKind::Lru);
         let req = request(&mut o);
         for engine in [PermutationEngine::budgeted(), PermutationEngine::strict()] {
@@ -401,6 +383,37 @@ mod tests {
             assert_eq!(report.engine, "permutation");
             assert_eq!(report.finding().and_then(|f| f.matched()), Some("LRU"));
             assert!(report.is_confident(0.75), "{report:?}");
+        }
+    }
+
+    #[test]
+    fn both_permutation_engines_account_for_every_measurement() {
+        use crate::infer::{CacheOracleExt, Counting};
+        let geometry = request(&mut oracle(PolicyKind::Lru)).geometry;
+        for engine in [PermutationEngine::budgeted(), PermutationEngine::strict()] {
+            for (limit, completes) in [(100_000, true), (40, false)] {
+                let config = InferenceConfig::builder()
+                    .measurement_budget(limit)
+                    .build()
+                    .unwrap();
+                let mut o = oracle(PolicyKind::Lru).layer(Counting);
+                let report = engine.infer(&mut o, &InferenceRequest::new(geometry, config));
+                assert_eq!(report.measurements_used, o.measurements(), "{engine:?}");
+                assert_eq!(report.measurement_budget, Some(limit), "{engine:?}");
+                if completes {
+                    assert!(report.is_confident(0.99), "{engine:?}: {report:?}");
+                } else {
+                    assert!(report.degraded, "{engine:?}");
+                    assert_eq!(
+                        report.outcome,
+                        Err(InferenceError::BudgetExhausted {
+                            used: limit,
+                            budget: limit
+                        }),
+                        "{engine:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -33,7 +33,6 @@
 //! # }
 //! ```
 
-pub mod campaign;
 mod config;
 mod engine;
 mod geometry;
@@ -44,7 +43,6 @@ mod robust;
 pub mod sets;
 mod vote;
 
-pub use campaign::{measure_campaign, run_campaign, Measurement};
 pub use config::{
     ConfigError, InferenceConfig, InferenceConfigBuilder, InferenceError, ReadoutSearch,
 };
@@ -60,12 +58,5 @@ pub use oracle::{
     ExperimentRecord, MeasureFault, Metered, MeteredOracle, OracleLayer, Recorded, Recording,
     SimOracle,
 };
-#[allow(deprecated)]
-pub use oracle::{CountingOracle, RecordingOracle};
-pub use policy::{infer_insertion_position, PolicyReport};
-#[allow(deprecated)]
-pub use policy::{infer_policy, infer_policy_parallel};
-#[allow(deprecated)]
-pub use robust::infer_policy_robust;
-pub use robust::InferenceResult;
+pub use policy::PolicyReport;
 pub use vote::{MeasurementBudget, VoteOutcome, VotePlan};

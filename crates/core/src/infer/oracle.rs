@@ -362,20 +362,6 @@ impl<O: CacheOracle> CacheOracle for MeteredOracle<O> {
     }
 }
 
-/// Former name of [`Counted`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `oracle.layer(Counting)` or `Counted` instead"
-)]
-pub type CountingOracle<O> = Counted<O>;
-
-/// Former name of [`Recorded`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `oracle.layer(Recording)` or `Recorded` instead"
-)]
-pub type RecordingOracle<O> = Recorded<O>;
-
 /// Take the median of `repetitions` measurements of the same experiment —
 /// the voting primitive that makes the pipeline robust to sporadic
 /// counter noise. Thin wrapper over [`VotePlan`].
@@ -476,17 +462,6 @@ mod tests {
         assert_eq!(o.inner().inner().measurements(), 1);
         let counted = o.into_inner().into_inner();
         assert_eq!(counted.accesses(), 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_still_name_the_same_types() {
-        let mut c: CountingOracle<SimOracle> = CountingOracle::new(oracle());
-        c.measure(&[], &[0]);
-        assert_eq!(c.measurements(), 1);
-        let mut r: RecordingOracle<SimOracle> = RecordingOracle::new(oracle());
-        r.measure(&[], &[0]);
-        assert_eq!(r.records().len(), 1);
     }
 
     #[test]

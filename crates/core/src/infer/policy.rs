@@ -1,16 +1,16 @@
-//! Replacement-policy inference over a measurement oracle.
+//! What a permutation-policy inference produces, and the address plan
+//! and abstract model its read-out and validation share.
 //!
 //! This is the hardware-facing twin of [`crate::perm::derive_permutation_spec`]:
 //! the same read-out algorithm, but phrased purely in terms of
-//! [`CacheOracle::measure`] calls on conflicting addresses, with majority
-//! voting on every boolean question so that sporadic counter noise does
-//! not corrupt the inferred permutations.
+//! [`CacheOracle::measure`](crate::infer::CacheOracle::measure) calls on
+//! conflicting addresses. The measuring pipeline itself lives in
+//! `infer::robust` and runs behind
+//! [`PermutationEngine`](crate::infer::PermutationEngine).
 
-use crate::infer::oracle::{estimate_counter_noise, measure_voted, CacheOracle};
-use crate::infer::{Geometry, InferenceConfig, InferenceError, ReadoutSearch};
-use crate::perm::{match_spec, Permutation, PermutationSpec};
+use crate::infer::{Geometry, InferenceConfig};
+use crate::perm::PermutationSpec;
 use cachekit_policies::rng::Prng;
-use cachekit_sim::parallel::{effective_jobs, par_map};
 use std::fmt;
 
 /// The result of a successful policy inference.
@@ -93,364 +93,7 @@ impl SetAddrs {
     }
 }
 
-/// Was `target` evicted after establishing `base ++ prepare` and then
-/// forcing `k` fresh misses?
-fn evicted_within<O: CacheOracle>(
-    oracle: &mut O,
-    addrs: &SetAddrs,
-    prepare: &[u64],
-    target: u64,
-    k: usize,
-    repetitions: usize,
-) -> bool {
-    let mut warmup = addrs.base_fill();
-    warmup.extend_from_slice(prepare);
-    warmup.extend(addrs.fresh(k));
-    measure_voted(oracle, &warmup, &[target], repetitions) > 0
-}
-
-/// Smallest `k` in `1..=assoc` such that `target` is evicted within `k`
-/// fresh misses, or `None` if it survives `assoc` misses. Resolved by
-/// binary search over the monotone predicate or by a linear scan,
-/// depending on the configured [`ReadoutSearch`].
-fn eviction_k<O: CacheOracle>(
-    oracle: &mut O,
-    addrs: &SetAddrs,
-    prepare: &[u64],
-    target: u64,
-    repetitions: usize,
-    search: ReadoutSearch,
-) -> Option<usize> {
-    match search {
-        ReadoutSearch::Binary => {
-            if !evicted_within(oracle, addrs, prepare, target, addrs.assoc, repetitions) {
-                return None;
-            }
-            let (mut lo, mut hi) = (1usize, addrs.assoc);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if evicted_within(oracle, addrs, prepare, target, mid, repetitions) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            Some(lo)
-        }
-        ReadoutSearch::Linear => (1..=addrs.assoc)
-            .find(|&k| evicted_within(oracle, addrs, prepare, target, k, repetitions)),
-    }
-}
-
-/// Read out the priority order of the base blocks after `base ++ prepare`:
-/// `order[pos] = base index`, position 0 most protected.
-fn read_out<O: CacheOracle>(
-    oracle: &mut O,
-    addrs: &SetAddrs,
-    prepare: &[u64],
-    repetitions: usize,
-    search: ReadoutSearch,
-) -> Result<Vec<usize>, InferenceError> {
-    let _span = cachekit_obs::span("read_out");
-    let assoc = addrs.assoc;
-    let mut order: Vec<Option<usize>> = vec![None; assoc];
-    for b in 0..assoc {
-        let target = addrs.base(b);
-        let k =
-            eviction_k(oracle, addrs, prepare, target, repetitions, search).ok_or_else(|| {
-                InferenceError::InconsistentReadout(format!(
-                    "base block {b} survives {assoc} fresh misses"
-                ))
-            })?;
-        let pos = assoc - k;
-        if let Some(other) = order[pos] {
-            return Err(InferenceError::InconsistentReadout(format!(
-                "blocks {other} and {b} both read out at position {pos}"
-            )));
-        }
-        order[pos] = Some(b);
-    }
-    Ok(order.into_iter().map(|o| o.expect("all filled")).collect())
-}
-
-/// Infer the miss insertion position: fill the set, insert a marked
-/// block, and count the fresh misses it survives. A block inserted at
-/// position `p` of an `A`-way set is evicted by the `(A - p)`-th
-/// subsequent miss.
-///
-/// # Errors
-///
-/// [`InferenceError::InconsistentReadout`] if the marked block outlives
-/// `assoc` fresh misses (it is pinned — no front-insertion shift model
-/// fits).
-pub fn infer_insertion_position<O: CacheOracle>(
-    oracle: &mut O,
-    geometry: &Geometry,
-    config: &InferenceConfig,
-) -> Result<usize, InferenceError> {
-    let _span = cachekit_obs::span("infer_insertion_position");
-    let addrs = SetAddrs::new(geometry);
-    let marked = addrs.marked();
-    let k = eviction_k(
-        oracle,
-        &addrs,
-        &[marked],
-        marked,
-        config.repetitions,
-        config.readout_search,
-    )
-    .ok_or_else(|| {
-        InferenceError::InconsistentReadout("marked block never evicted by fresh misses".to_owned())
-    })?;
-    Ok(geometry.associativity - k)
-}
-
-/// Infer the replacement policy behind `oracle` as a [`PermutationSpec`].
-///
-/// Pipeline: detect the insertion position; read out the base state;
-/// infer one hit permutation per position; validate the assembled spec by
-/// predicted-vs-measured miss counts on random scripts; match against the
-/// catalog.
-///
-/// # Errors
-///
-/// See [`InferenceError`]; in particular
-/// [`NotAPermutationPolicy`](InferenceError::NotAPermutationPolicy) for
-/// caches whose policy is outside the class (e.g. random replacement) and
-/// [`NotFrontInsertion`](InferenceError::NotFrontInsertion) for LIP-style
-/// insertion.
-#[deprecated(
-    since = "0.2.0",
-    note = "drive inference through the InferenceEngine trait \
-            (`PermutationEngine::strict()` has identical semantics)"
-)]
-pub fn infer_policy<O: CacheOracle>(
-    oracle: &mut O,
-    geometry: &Geometry,
-    config: &InferenceConfig,
-) -> Result<PolicyReport, InferenceError> {
-    let _span = cachekit_obs::span("infer_policy");
-    let assoc = geometry.associativity;
-    let addrs = SetAddrs::new(geometry);
-
-    let noise = estimate_counter_noise(oracle, 200);
-
-    let position = infer_insertion_position(oracle, geometry, config)?;
-    if position != 0 {
-        return Err(InferenceError::NotFrontInsertion { position });
-    }
-
-    let base_order = read_out_retry(
-        oracle,
-        &addrs,
-        &[],
-        config.repetitions,
-        config.readout_search,
-    )?;
-
-    let mut hits = Vec::with_capacity(assoc);
-    for i in 0..assoc {
-        let prepare = [addrs.base(base_order[i])];
-        let new_order = read_out_retry(
-            oracle,
-            &addrs,
-            &prepare,
-            config.repetitions,
-            config.readout_search,
-        )?;
-        let mut map = Vec::with_capacity(assoc);
-        for &old_block in base_order.iter() {
-            let new_pos = new_order
-                .iter()
-                .position(|&b| b == old_block)
-                .expect("read_out returns a permutation of base indices");
-            map.push(new_pos);
-        }
-        let perm = Permutation::new(map)
-            .map_err(|e| InferenceError::InconsistentReadout(e.to_string()))?;
-        hits.push(perm);
-    }
-
-    let spec = PermutationSpec::new(hits, 0)
-        .map_err(|e| InferenceError::InconsistentReadout(e.to_string()))?;
-
-    let (rounds, mismatches) = validate(oracle, &addrs, &base_order, &spec, config, noise);
-    let rejected = if noise < 0.005 {
-        mismatches > 0
-    } else {
-        // A noisy channel occasionally lands outside the tolerance band
-        // even for a correct model; reject only on systematic divergence.
-        mismatches * 4 > rounds
-    };
-    if rejected {
-        return Err(InferenceError::NotAPermutationPolicy { mismatches, rounds });
-    }
-
-    let matched = match_spec(&spec);
-    Ok(PolicyReport {
-        geometry: *geometry,
-        spec,
-        matched,
-        insertion_position: 0,
-        validation_rounds: rounds,
-        validation_mismatches: mismatches,
-    })
-}
-
-/// Parallel twin of [`infer_policy`]: identical pipeline, but the
-/// independent measurement batches — the per-position hit read-outs and
-/// the validation scripts — fan across worker threads, each on its own
-/// clone of the oracle.
-///
-/// On a noise-free oracle the result is identical to [`infer_policy`];
-/// on a noisy oracle individual readings differ the way two serial runs
-/// differ (each clone replays its own noise stream), which the voting
-/// and tolerance layers already absorb. `jobs` of `None` resolves via
-/// `CACHEKIT_JOBS`, then available parallelism.
-///
-/// # Errors
-///
-/// Exactly the failure modes of [`infer_policy`].
-#[deprecated(
-    since = "0.2.0",
-    note = "drive inference through the InferenceEngine trait; the parallel \
-            fan-out remains available through this wrapper until the worker \
-            pool moves behind an engine"
-)]
-pub fn infer_policy_parallel<O>(
-    oracle: &O,
-    geometry: &Geometry,
-    config: &InferenceConfig,
-    jobs: Option<usize>,
-) -> Result<PolicyReport, InferenceError>
-where
-    O: CacheOracle + Clone + Send + Sync,
-{
-    let _span = cachekit_obs::span("infer_policy");
-    let jobs = effective_jobs(jobs);
-    let assoc = geometry.associativity;
-    let addrs = SetAddrs::new(geometry);
-
-    let noise = estimate_counter_noise(&mut oracle.clone(), 200);
-
-    let position = infer_insertion_position(&mut oracle.clone(), geometry, config)?;
-    if position != 0 {
-        return Err(InferenceError::NotFrontInsertion { position });
-    }
-
-    let base_order = read_out_retry(
-        &mut oracle.clone(),
-        &addrs,
-        &[],
-        config.repetitions,
-        config.readout_search,
-    )?;
-
-    // One read-out per hit position, all independent given the flush-first
-    // oracle contract — the widest fan-out of the pipeline.
-    let positions: Vec<usize> = (0..assoc).collect();
-    let readouts = par_map(&positions, jobs, |&i| {
-        let mut worker = oracle.clone();
-        read_out_retry(
-            &mut worker,
-            &addrs,
-            &[addrs.base(base_order[i])],
-            config.repetitions,
-            config.readout_search,
-        )
-    });
-
-    let mut hits = Vec::with_capacity(assoc);
-    for new_order in readouts {
-        let new_order = new_order?;
-        let mut map = Vec::with_capacity(assoc);
-        for &old_block in base_order.iter() {
-            let new_pos = new_order
-                .iter()
-                .position(|&b| b == old_block)
-                .expect("read_out returns a permutation of base indices");
-            map.push(new_pos);
-        }
-        let perm = Permutation::new(map)
-            .map_err(|e| InferenceError::InconsistentReadout(e.to_string()))?;
-        hits.push(perm);
-    }
-
-    let spec = PermutationSpec::new(hits, 0)
-        .map_err(|e| InferenceError::InconsistentReadout(e.to_string()))?;
-
-    // Validation scripts are measured concurrently; the script set itself
-    // is generated serially from the seed, so it matches the serial path.
-    let tails = validation_tails(&addrs, config);
-    let diverged = par_map(&tails, jobs, |tail| {
-        let mut worker = oracle.clone();
-        tail_diverges(&mut worker, &addrs, &base_order, &spec, tail, config, noise)
-    });
-    let rounds = config.validation_rounds;
-    let mismatches = diverged.into_iter().filter(|&d| d).count();
-    let rejected = if noise < 0.005 {
-        mismatches > 0
-    } else {
-        mismatches * 4 > rounds
-    };
-    if rejected {
-        return Err(InferenceError::NotAPermutationPolicy { mismatches, rounds });
-    }
-
-    let matched = match_spec(&spec);
-    Ok(PolicyReport {
-        geometry: *geometry,
-        spec,
-        matched,
-        insertion_position: 0,
-        validation_rounds: rounds,
-        validation_mismatches: mismatches,
-    })
-}
-
-/// Re-run a read-out on an inconsistent result: on a noisy channel a
-/// single flipped boolean can corrupt one read-out, and the measurements
-/// of a retry are independent.
-fn read_out_retry<O: CacheOracle>(
-    oracle: &mut O,
-    addrs: &SetAddrs,
-    prepare: &[u64],
-    repetitions: usize,
-    search: ReadoutSearch,
-) -> Result<Vec<usize>, InferenceError> {
-    let mut last = None;
-    for _ in 0..3 {
-        match read_out(oracle, addrs, prepare, repetitions, search) {
-            Ok(order) => return Ok(order),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.expect("at least one attempt"))
-}
-
-/// Predicted-vs-measured validation on random scripts: establish the base
-/// state, run a random tail over base and extra blocks, and compare the
-/// measured probe miss count with the abstract model's prediction
-/// (noise-adjusted: a channel with false-event rate `p` turns a true
-/// count `m` out of `n` into `m + p(n - 2m)` in expectation).
-fn validate<O: CacheOracle>(
-    oracle: &mut O,
-    addrs: &SetAddrs,
-    base_order: &[usize],
-    spec: &PermutationSpec,
-    config: &InferenceConfig,
-    noise: f64,
-) -> (usize, usize) {
-    let _span = cachekit_obs::span("validate");
-    let mismatches = validation_tails(addrs, config)
-        .iter()
-        .filter(|tail| tail_diverges(oracle, addrs, base_order, spec, tail, config, noise))
-        .count();
-    (config.validation_rounds, mismatches)
-}
-
-/// The seeded random validation scripts — generated up front so serial
-/// and parallel validation measure the identical script set.
+/// The seeded random validation scripts over base and extra blocks.
 pub(crate) fn validation_tails(addrs: &SetAddrs, config: &InferenceConfig) -> Vec<Vec<u64>> {
     let assoc = addrs.assoc;
     let mut rng = Prng::seed_from_u64(config.seed);
@@ -467,24 +110,6 @@ pub(crate) fn validation_tails(addrs: &SetAddrs, config: &InferenceConfig) -> Ve
                 .collect()
         })
         .collect()
-}
-
-/// Does the measured miss count of one validation script diverge from the
-/// spec's noise-adjusted prediction?
-fn tail_diverges<O: CacheOracle>(
-    oracle: &mut O,
-    addrs: &SetAddrs,
-    base_order: &[usize],
-    spec: &PermutationSpec,
-    tail: &[u64],
-    config: &InferenceConfig,
-    noise: f64,
-) -> bool {
-    let _span = cachekit_obs::span("validate_script");
-    let predicted = predict_tail_misses(addrs, base_order, spec, tail);
-    let warmup = addrs.base_fill();
-    let measured = measure_voted(oracle, &warmup, tail, config.repetitions);
-    prediction_diverges(predicted, measured, tail.len(), noise)
 }
 
 /// Abstract model prediction: miss count of `tail` run from the read-out
@@ -509,8 +134,7 @@ pub(crate) fn predict_tail_misses(
     predicted
 }
 
-/// Noise-adjusted divergence check shared by the strict and robust
-/// validation paths: a channel with false-event rate `p` turns a true
+/// Noise-adjusted divergence check of one validation script: a channel with false-event rate `p` turns a true
 /// count `m` out of `n` into `m + p(n - 2m)` in expectation.
 pub(crate) fn prediction_diverges(predicted: usize, measured: usize, n: usize, noise: f64) -> bool {
     let n = n as f64;
@@ -524,12 +148,12 @@ pub(crate) fn prediction_diverges(predicted: usize, measured: usize, n: usize, n
 }
 
 #[cfg(test)]
-// The deprecated free functions stay covered until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::infer::oracle::SimOracle;
-    use crate::infer::{infer_geometry, InferenceConfig};
+    use crate::infer::{
+        infer_geometry, InferenceEngine, InferenceError, InferenceRequest, PermutationEngine,
+    };
     use cachekit_policies::PolicyKind;
     use cachekit_sim::{Cache, CacheConfig};
 
@@ -538,6 +162,14 @@ mod tests {
             CacheConfig::new(capacity, assoc, 64).unwrap(),
             kind,
         ))
+    }
+
+    fn infer(oracle: &mut SimOracle, geometry: Geometry) -> Result<PolicyReport, InferenceError> {
+        let request = InferenceRequest::new(geometry, InferenceConfig::default());
+        let report = PermutationEngine::strict().infer(oracle, &request);
+        report
+            .outcome
+            .map(|f| f.permutation().cloned().expect("permutation evidence"))
     }
 
     fn end_to_end(
@@ -549,9 +181,8 @@ mod tests {
         let config = InferenceConfig::default();
         let geometry = infer_geometry(&mut oracle, &config).expect("geometry");
         assert_eq!(geometry.associativity, assoc);
-        infer_policy(&mut oracle, &geometry, &config)
+        infer(&mut oracle, geometry)
     }
-
     #[test]
     fn identifies_lru() {
         let report = end_to_end(PolicyKind::Lru, 16 * 1024, 4).unwrap();
@@ -605,7 +236,7 @@ mod tests {
         let mut oracle = oracle_for(PolicyKind::Lip, 16 * 1024, 4);
         let config = InferenceConfig::default();
         let geometry = infer_geometry(&mut oracle, &config).unwrap();
-        let err = infer_policy(&mut oracle, &geometry, &config).unwrap_err();
+        let err = infer(&mut oracle, geometry).unwrap_err();
         assert_eq!(err, InferenceError::NotFrontInsertion { position: 3 });
     }
 
@@ -615,7 +246,7 @@ mod tests {
         let config = InferenceConfig::default();
         let geometry = infer_geometry(&mut oracle, &config).unwrap();
         assert_eq!(geometry.associativity, 8);
-        let err = infer_policy(&mut oracle, &geometry, &config).unwrap_err();
+        let err = infer(&mut oracle, geometry).unwrap_err();
         assert_eq!(err, InferenceError::NotFrontInsertion { position: 3 });
     }
 

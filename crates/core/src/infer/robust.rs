@@ -1,11 +1,9 @@
-//! Budgeted, fault-tolerant policy inference with graceful degradation.
+//! The permutation-inference pipeline: budgeted, fault-tolerant, and
+//! the only read-out/validation loop in `cachekit-core::infer`.
 //!
-//! [`infer_policy`](crate::infer::infer_policy) assumes a well-behaved
-//! oracle: it panics on nothing, but a pathological channel can make it
-//! spend unbounded measurements, and its only confidence signal is the
-//! binary validated/rejected verdict. This module is the serving-stack
-//! twin demanded by the ROADMAP: the same read-out pipeline, driven
-//! through [`VotePlan::measure_budgeted`] so that
+//! [`PermutationEngine`](crate::infer::PermutationEngine) runs it for
+//! both of its constructors. Every query goes through
+//! [`VotePlan::measure_budgeted`], so that
 //!
 //! * every raw oracle attempt is charged against one shared
 //!   [`MeasurementBudget`],
@@ -14,105 +12,78 @@
 //! * each hit-position read-out carries a per-query confidence score,
 //!   and
 //! * a campaign that runs its budget dry returns a *partial*
-//!   [`InferenceResult`] — `degraded: true`, the confidences gathered so
+//!   [`InferenceReport`] — `degraded: true`, the confidences gathered so
 //!   far, and an [`InferenceError::BudgetExhausted`] outcome — instead
 //!   of panicking or silently guessing.
 
+use crate::infer::engine::{Finding, InferenceReport, InferenceRequest};
 use crate::infer::oracle::CacheOracle;
 use crate::infer::policy::{
     predict_tail_misses, prediction_diverges, validation_tails, PolicyReport, SetAddrs,
 };
 use crate::infer::vote::{MeasurementBudget, VotePlan};
-use crate::infer::{Geometry, InferenceConfig, InferenceError, ReadoutSearch};
+use crate::infer::{InferenceError, ReadoutSearch};
 use crate::perm::{match_spec, Permutation, PermutationSpec};
 
-/// The outcome of a robust inference campaign. Unlike the strict
-/// pipeline this is not a `Result`: even a failed campaign carries the
-/// accounting a caller needs to render a run report (how much budget was
-/// spent, what confidence was reached, whether the answer is partial).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferenceResult {
-    /// The inferred policy, or why inference stopped.
-    pub outcome: Result<PolicyReport, InferenceError>,
-    /// `true` when the campaign exhausted its measurement budget (or
-    /// the per-measurement attempt cap) and the result is therefore
-    /// partial. Genuine findings — wrong insertion position,
-    /// non-permutation behaviour — are *not* degradation.
-    pub degraded: bool,
-    /// Overall confidence: the minimum agreement score over every voted
-    /// query that completed (0.0 when nothing completed).
-    pub confidence: f64,
-    /// Per-hit-position read-out confidence, in position order; shorter
-    /// than the associativity when the budget ran dry mid-campaign.
-    pub position_confidences: Vec<f64>,
-    /// Raw oracle attempts charged, faulted attempts included.
-    pub measurements_used: u64,
-    /// The configured budget ceiling (`None` = unlimited).
-    pub measurement_budget: Option<u64>,
-    /// Transient timeouts absorbed across the whole campaign.
-    pub timeouts: u64,
-    /// Dropped/short readings absorbed across the whole campaign.
-    pub dropped: u64,
+/// How the pipeline estimates the channel's false-event rate before
+/// validation: `readings` single-vote readings, each re-probing one
+/// freshly warmed line `probes` times. A clean channel reports every
+/// probe as a hit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NoiseEstimate {
+    pub(crate) readings: usize,
+    pub(crate) probes: usize,
 }
 
-impl InferenceResult {
-    /// Did the campaign produce a full answer at or above `threshold`
-    /// confidence? This is the bar the differential fault tests hold
-    /// the pipeline to: `is_confident` must imply *correct*.
-    pub fn is_confident(&self, threshold: f64) -> bool {
-        self.outcome.is_ok() && !self.degraded && self.confidence >= threshold
-    }
-}
-
-/// Control-flow marker: the budget (or attempt cap) ran dry mid-query.
-struct Exhausted;
-
-/// Read-out failure: either the budget died or the readings are
-/// inconsistent (the latter is retried, the former never is).
-enum ReadOutFail {
+/// Why the campaign stopped early.
+enum Stop {
+    /// The budget (or the per-measurement attempt cap) ran dry.
     Exhausted,
-    Inconsistent(InferenceError),
+    /// A finding about the cache (wrong insertion position, inconsistent
+    /// read-out, non-permutation behaviour) — not degradation.
+    Finding(InferenceError),
 }
 
 /// The campaign engine: one oracle, one budget, running fault and
 /// confidence accounting.
-struct Engine<'a, O> {
-    oracle: &'a mut O,
+struct Engine<'a> {
+    oracle: &'a mut dyn CacheOracle,
     plan: VotePlan,
     budget: MeasurementBudget,
     timeouts: u64,
     dropped: u64,
     min_confidence_seen: f64,
     any_query_completed: bool,
+    position_confidences: Vec<f64>,
 }
 
-impl<'a, O: CacheOracle> Engine<'a, O> {
-    fn new(oracle: &'a mut O, config: &InferenceConfig) -> Self {
-        Self {
-            oracle,
-            plan: config.vote_plan(),
-            budget: config.budget(),
-            timeouts: 0,
-            dropped: 0,
-            min_confidence_seen: 1.0,
-            any_query_completed: false,
-        }
-    }
-
-    /// One adaptively voted query; `Err(Exhausted)` when the budget ran
-    /// dry before the plan was satisfied.
-    fn vote(&mut self, warmup: &[u64], probe: &[u64]) -> Result<(usize, f64), Exhausted> {
-        let out = self
-            .plan
-            .measure_budgeted(self.oracle, warmup, probe, &mut self.budget);
+impl Engine<'_> {
+    /// One query under `plan`, charged to the shared budget and fault
+    /// accounting; `Err(Stop::Exhausted)` when the budget ran dry before
+    /// the plan was satisfied.
+    fn measure(
+        &mut self,
+        plan: &VotePlan,
+        warmup: &[u64],
+        probe: &[u64],
+    ) -> Result<(usize, f64), Stop> {
+        let out = plan.measure_budgeted(&mut self.oracle, warmup, probe, &mut self.budget);
         self.timeouts = self.timeouts.saturating_add(out.timeouts);
         self.dropped = self.dropped.saturating_add(out.dropped);
         if out.exhausted {
-            return Err(Exhausted);
+            return Err(Stop::Exhausted);
         }
-        self.any_query_completed = true;
-        self.min_confidence_seen = self.min_confidence_seen.min(out.confidence);
         Ok((out.value, out.confidence))
+    }
+
+    /// One adaptively voted read-out query; its agreement counts towards
+    /// the campaign's overall confidence.
+    fn vote(&mut self, warmup: &[u64], probe: &[u64]) -> Result<(usize, f64), Stop> {
+        let plan = self.plan;
+        let (value, confidence) = self.measure(&plan, warmup, probe)?;
+        self.any_query_completed = true;
+        self.min_confidence_seen = self.min_confidence_seen.min(confidence);
+        Ok((value, confidence))
     }
 
     /// Was `target` evicted after `base ++ prepare` and `k` fresh
@@ -123,7 +94,7 @@ impl<'a, O: CacheOracle> Engine<'a, O> {
         prepare: &[u64],
         target: u64,
         k: usize,
-    ) -> Result<(bool, f64), Exhausted> {
+    ) -> Result<(bool, f64), Stop> {
         let mut warmup = addrs.base_fill();
         warmup.extend_from_slice(prepare);
         warmup.extend(addrs.fresh(k));
@@ -131,17 +102,20 @@ impl<'a, O: CacheOracle> Engine<'a, O> {
         Ok((misses > 0, confidence))
     }
 
-    /// Smallest `k` evicting `target`, with the minimum confidence over
-    /// the boolean queries resolved along the way.
+    /// Smallest `k` in `1..=assoc` such that `target` is evicted within
+    /// `k` fresh misses (`None` if it survives `assoc` misses), with the
+    /// minimum confidence over the boolean queries resolved along the
+    /// way. Resolved by binary search over the monotone predicate or by
+    /// a linear scan, depending on the configured [`ReadoutSearch`].
     fn eviction_k(
         &mut self,
         addrs: &SetAddrs,
         prepare: &[u64],
         target: u64,
         search: ReadoutSearch,
-    ) -> Result<(Option<usize>, f64), Exhausted> {
+    ) -> Result<(Option<usize>, f64), Stop> {
         let mut confidence = 1.0f64;
-        let mut ask = |eng: &mut Self, k: usize| -> Result<bool, Exhausted> {
+        let mut ask = |eng: &mut Self, k: usize| -> Result<bool, Stop> {
             let (evicted, c) = eng.evicted_within(addrs, prepare, target, k)?;
             confidence = confidence.min(c);
             Ok(evicted)
@@ -177,36 +151,30 @@ impl<'a, O: CacheOracle> Engine<'a, O> {
         Ok((k, confidence))
     }
 
-    /// Budgeted read-out of the priority order after `base ++ prepare`,
-    /// with the read-out's aggregate (minimum) confidence.
+    /// Read out the priority order of the base blocks after
+    /// `base ++ prepare` (`order[pos] = base index`, position 0 most
+    /// protected), with the read-out's aggregate (minimum) confidence.
     fn read_out(
         &mut self,
         addrs: &SetAddrs,
         prepare: &[u64],
         search: ReadoutSearch,
-    ) -> Result<(Vec<usize>, f64), ReadOutFail> {
+    ) -> Result<(Vec<usize>, f64), Stop> {
         let _span = cachekit_obs::span("read_out");
         let assoc = addrs.assoc;
         let mut order: Vec<Option<usize>> = vec![None; assoc];
         let mut confidence = 1.0f64;
         for b in 0..assoc {
-            let target = addrs.base(b);
-            let (k, c) = self
-                .eviction_k(addrs, prepare, target, search)
-                .map_err(|_| ReadOutFail::Exhausted)?;
+            let (k, c) = self.eviction_k(addrs, prepare, addrs.base(b), search)?;
             confidence = confidence.min(c);
             let k = k.ok_or_else(|| {
-                ReadOutFail::Inconsistent(InferenceError::InconsistentReadout(format!(
-                    "base block {b} survives {assoc} fresh misses"
-                )))
+                inconsistent(format!("base block {b} survives {assoc} fresh misses"))
             })?;
             let pos = assoc - k;
             if let Some(other) = order[pos] {
-                return Err(ReadOutFail::Inconsistent(
-                    InferenceError::InconsistentReadout(format!(
-                        "blocks {other} and {b} both read out at position {pos}"
-                    )),
-                ));
+                return Err(inconsistent(format!(
+                    "blocks {other} and {b} both read out at position {pos}"
+                )));
             }
             order[pos] = Some(b);
         }
@@ -214,223 +182,185 @@ impl<'a, O: CacheOracle> Engine<'a, O> {
         Ok((order, confidence))
     }
 
-    /// Retry inconsistent read-outs (independent measurements make a
-    /// retry worthwhile); a dry budget aborts immediately.
+    /// Re-run a read-out on an inconsistent result: on a noisy channel a
+    /// single flipped boolean can corrupt one read-out, and the
+    /// measurements of a retry are independent. A dry budget aborts
+    /// immediately.
     fn read_out_retry(
         &mut self,
         addrs: &SetAddrs,
         prepare: &[u64],
         search: ReadoutSearch,
-    ) -> Result<(Vec<usize>, f64), ReadOutFail> {
+    ) -> Result<(Vec<usize>, f64), Stop> {
         let mut last = None;
         for _ in 0..3 {
             match self.read_out(addrs, prepare, search) {
-                Ok(out) => return Ok(out),
-                Err(ReadOutFail::Exhausted) => return Err(ReadOutFail::Exhausted),
-                Err(e) => last = Some(e),
+                Err(Stop::Finding(e)) => last = Some(e),
+                done => return done,
             }
         }
-        Err(last.expect("at least one attempt"))
+        Err(Stop::Finding(last.expect("at least one attempt")))
     }
 
-    /// Estimate the channel's false-event rate on warm hits: re-probe a
-    /// freshly warmed line, which a clean channel always reports as a
-    /// hit. Budgeted like every other query.
-    fn estimate_noise(&mut self, rounds: usize) -> Result<f64, Exhausted> {
-        let single = VotePlan::single();
+    /// The channel's false-event rate on warm hits, budgeted like every
+    /// other query.
+    fn estimate_noise(&mut self, estimate: NoiseEstimate) -> Result<f64, Stop> {
+        let _span = cachekit_obs::span("estimate_noise");
+        let probe = vec![0u64; estimate.probes];
         let mut events = 0usize;
-        for _ in 0..rounds {
-            let out = self.single_vote(&single, &[0], &[0]).ok_or(Exhausted)?;
-            events += out.min(1);
+        for _ in 0..estimate.readings {
+            let (misses, _) = self.measure(&VotePlan::single(), &[0], &probe)?;
+            events += misses.min(estimate.probes);
         }
-        Ok(events as f64 / rounds as f64)
+        Ok(events as f64 / (estimate.readings * estimate.probes) as f64)
     }
 
-    /// One single-reading query under `plan` (noise probes and
-    /// validation use their own plans, but share the budget and fault
-    /// accounting).
-    fn single_vote(&mut self, plan: &VotePlan, warmup: &[u64], probe: &[u64]) -> Option<usize> {
-        let out = plan.measure_budgeted(self.oracle, warmup, probe, &mut self.budget);
-        self.timeouts = self.timeouts.saturating_add(out.timeouts);
-        self.dropped = self.dropped.saturating_add(out.dropped);
-        if out.exhausted {
-            return None;
-        }
-        Some(out.value)
-    }
+    /// Insertion position, base read-out, one hit read-out per position,
+    /// predicted-vs-measured validation, catalog match.
+    fn campaign(
+        &mut self,
+        request: &InferenceRequest,
+        estimate: NoiseEstimate,
+    ) -> Result<PolicyReport, Stop> {
+        let config = &request.config;
+        let search = config.readout_search;
+        let assoc = request.geometry.associativity;
+        let addrs = SetAddrs::new(&request.geometry);
 
-    fn exhausted_error(&self) -> InferenceError {
-        let used = self.budget.used();
-        InferenceError::BudgetExhausted {
-            used,
-            budget: self.budget.limit().unwrap_or(used),
+        let noise = self.estimate_noise(estimate)?;
+
+        // Insertion position: a block inserted at position `p` of an
+        // `A`-way set is evicted by the `(A - p)`-th subsequent miss.
+        let marked = addrs.marked();
+        let position = match self.eviction_k(&addrs, &[marked], marked, search)? {
+            (Some(k), _) => assoc - k,
+            (None, _) => {
+                return Err(inconsistent(
+                    "marked block never evicted by fresh misses".to_owned(),
+                ))
+            }
+        };
+        if position != 0 {
+            return Err(Stop::Finding(InferenceError::NotFrontInsertion {
+                position,
+            }));
         }
+
+        let (base_order, _) = self.read_out_retry(&addrs, &[], search)?;
+
+        // One hit read-out per position; each contributes its confidence
+        // to the report even when a later position degrades.
+        let mut hits = Vec::with_capacity(assoc);
+        for &block in &base_order {
+            let (new_order, confidence) =
+                self.read_out_retry(&addrs, &[addrs.base(block)], search)?;
+            let map = base_order
+                .iter()
+                .map(|old| {
+                    new_order
+                        .iter()
+                        .position(|b| b == old)
+                        .expect("read_out returns a permutation of base indices")
+                })
+                .collect();
+            hits.push(Permutation::new(map).map_err(|e| inconsistent(e.to_string()))?);
+            self.position_confidences.push(confidence);
+        }
+        let spec = PermutationSpec::new(hits, 0).map_err(|e| inconsistent(e.to_string()))?;
+
+        let _span = cachekit_obs::span("validate");
+        let validation_plan = VotePlan::of(config.repetitions);
+        let rounds = config.validation_rounds;
+        let mut mismatches = 0usize;
+        for tail in validation_tails(&addrs, config) {
+            let predicted = predict_tail_misses(&addrs, &base_order, &spec, &tail);
+            let (measured, _) = self.measure(&validation_plan, &addrs.base_fill(), &tail)?;
+            if prediction_diverges(predicted, measured, tail.len(), noise) {
+                mismatches += 1;
+            }
+        }
+        let rejected = if noise < 0.005 {
+            mismatches > 0
+        } else {
+            // A noisy channel occasionally lands outside the tolerance
+            // band even for a correct model; reject only on systematic
+            // divergence.
+            mismatches * 4 > rounds
+        };
+        if rejected {
+            return Err(Stop::Finding(InferenceError::NotAPermutationPolicy {
+                mismatches,
+                rounds,
+            }));
+        }
+
+        Ok(PolicyReport {
+            geometry: request.geometry,
+            matched: match_spec(&spec),
+            spec,
+            insertion_position: 0,
+            validation_rounds: rounds,
+            validation_mismatches: mismatches,
+        })
     }
 }
 
-/// Robust, budgeted twin of [`crate::infer::infer_policy`].
-///
-/// The pipeline is identical — insertion position, base read-out, one
-/// hit read-out per position, predicted-vs-measured validation, catalog
-/// match — but every measurement flows through the adaptive retry
-/// engine, and the function *never panics*: structural failures and
-/// budget exhaustion both come back inside the [`InferenceResult`].
-#[deprecated(
-    since = "0.2.0",
-    note = "drive inference through the InferenceEngine trait \
-            (`PermutationEngine::budgeted()` has identical semantics)"
-)]
-pub fn infer_policy_robust<O: CacheOracle>(
-    oracle: &mut O,
-    geometry: &Geometry,
-    config: &InferenceConfig,
-) -> InferenceResult {
-    let _span = cachekit_obs::span("infer_policy_robust");
-    let assoc = geometry.associativity;
-    let addrs = SetAddrs::new(geometry);
-    let mut eng = Engine::new(oracle, config);
-    let mut position_confidences: Vec<f64> = Vec::with_capacity(assoc);
+fn inconsistent(message: String) -> Stop {
+    Stop::Finding(InferenceError::InconsistentReadout(message))
+}
 
-    let finish = |eng: &Engine<'_, O>,
-                  position_confidences: Vec<f64>,
-                  outcome: Result<PolicyReport, InferenceError>,
-                  degraded: bool| {
-        let confidence = if eng.any_query_completed {
+/// Run one permutation-inference campaign against `oracle`. Never
+/// panics on channel behaviour: structural findings and budget
+/// exhaustion both come back inside the report, with the accounting of
+/// every attempt spent.
+pub(crate) fn infer_permutation(
+    oracle: &mut dyn CacheOracle,
+    request: &InferenceRequest,
+    noise: NoiseEstimate,
+) -> InferenceReport {
+    let _span = cachekit_obs::span("infer_policy");
+    let mut eng = Engine {
+        oracle,
+        plan: request.config.vote_plan(),
+        budget: request.config.budget(),
+        timeouts: 0,
+        dropped: 0,
+        min_confidence_seen: 1.0,
+        any_query_completed: false,
+        position_confidences: Vec::with_capacity(request.geometry.associativity),
+    };
+    let (outcome, degraded) = match eng.campaign(request, noise) {
+        Ok(report) => (Ok(Finding::Permutation(report)), false),
+        Err(Stop::Finding(e)) => (Err(e), false),
+        Err(Stop::Exhausted) => {
+            let used = eng.budget.used();
+            let budget = eng.budget.limit().unwrap_or(used);
+            (Err(InferenceError::BudgetExhausted { used, budget }), true)
+        }
+    };
+    InferenceReport {
+        engine: "permutation",
+        outcome,
+        degraded,
+        confidence: if eng.any_query_completed {
             eng.min_confidence_seen
         } else {
             0.0
-        };
-        InferenceResult {
-            outcome,
-            degraded,
-            confidence,
-            position_confidences,
-            measurements_used: eng.budget.used(),
-            measurement_budget: eng.budget.limit(),
-            timeouts: eng.timeouts,
-            dropped: eng.dropped,
-        }
-    };
-
-    macro_rules! degrade {
-        ($eng:expr, $confs:expr) => {{
-            let err = $eng.exhausted_error();
-            return finish(&$eng, $confs, Err(err), true);
-        }};
+        },
+        position_confidences: eng.position_confidences,
+        measurements_used: eng.budget.used(),
+        measurement_budget: eng.budget.limit(),
+        timeouts: eng.timeouts,
+        dropped: eng.dropped,
     }
-
-    let noise = match eng.estimate_noise(100) {
-        Ok(n) => n,
-        Err(Exhausted) => degrade!(eng, position_confidences),
-    };
-
-    // Insertion position: marked block among fresh misses.
-    let marked = addrs.marked();
-    let position = match eng.eviction_k(&addrs, &[marked], marked, config.readout_search) {
-        Ok((Some(k), _)) => assoc - k,
-        Ok((None, _)) => {
-            let err = InferenceError::InconsistentReadout(
-                "marked block never evicted by fresh misses".to_owned(),
-            );
-            return finish(&eng, position_confidences, Err(err), false);
-        }
-        Err(Exhausted) => degrade!(eng, position_confidences),
-    };
-    if position != 0 {
-        let err = InferenceError::NotFrontInsertion { position };
-        return finish(&eng, position_confidences, Err(err), false);
-    }
-
-    let (base_order, _) = match eng.read_out_retry(&addrs, &[], config.readout_search) {
-        Ok(out) => out,
-        Err(ReadOutFail::Exhausted) => degrade!(eng, position_confidences),
-        Err(ReadOutFail::Inconsistent(e)) => {
-            return finish(&eng, position_confidences, Err(e), false)
-        }
-    };
-
-    // One hit read-out per position; each contributes its confidence to
-    // the per-permutation report even when a later position degrades.
-    let mut hits = Vec::with_capacity(assoc);
-    for i in 0..assoc {
-        let prepare = [addrs.base(base_order[i])];
-        let (new_order, confidence) =
-            match eng.read_out_retry(&addrs, &prepare, config.readout_search) {
-                Ok(out) => out,
-                Err(ReadOutFail::Exhausted) => degrade!(eng, position_confidences),
-                Err(ReadOutFail::Inconsistent(e)) => {
-                    return finish(&eng, position_confidences, Err(e), false)
-                }
-            };
-        let mut map = Vec::with_capacity(assoc);
-        for &old_block in base_order.iter() {
-            let new_pos = new_order
-                .iter()
-                .position(|&b| b == old_block)
-                .expect("read_out returns a permutation of base indices");
-            map.push(new_pos);
-        }
-        match Permutation::new(map) {
-            Ok(perm) => hits.push(perm),
-            Err(e) => {
-                let err = InferenceError::InconsistentReadout(e.to_string());
-                return finish(&eng, position_confidences, Err(err), false);
-            }
-        }
-        position_confidences.push(confidence);
-    }
-
-    let spec = match PermutationSpec::new(hits, 0) {
-        Ok(spec) => spec,
-        Err(e) => {
-            let err = InferenceError::InconsistentReadout(e.to_string());
-            return finish(&eng, position_confidences, Err(err), false);
-        }
-    };
-
-    // Budgeted validation: same seeded script set as the strict path.
-    let validation_plan = VotePlan::of(config.repetitions);
-    let mut mismatches = 0usize;
-    let rounds = config.validation_rounds;
-    for tail in validation_tails(&addrs, config) {
-        let predicted = predict_tail_misses(&addrs, &base_order, &spec, &tail);
-        let warmup = addrs.base_fill();
-        let measured = match eng.single_vote(&validation_plan, &warmup, &tail) {
-            Some(m) => m,
-            None => degrade!(eng, position_confidences),
-        };
-        if prediction_diverges(predicted, measured, tail.len(), noise) {
-            mismatches += 1;
-        }
-    }
-    let rejected = if noise < 0.005 {
-        mismatches > 0
-    } else {
-        mismatches * 4 > rounds
-    };
-    if rejected {
-        let err = InferenceError::NotAPermutationPolicy { mismatches, rounds };
-        return finish(&eng, position_confidences, Err(err), false);
-    }
-
-    let matched = match_spec(&spec);
-    let report = PolicyReport {
-        geometry: *geometry,
-        spec,
-        matched,
-        insertion_position: 0,
-        validation_rounds: rounds,
-        validation_mismatches: mismatches,
-    };
-    finish(&eng, position_confidences, Ok(report), false)
 }
 
 #[cfg(test)]
-// The deprecated free functions stay covered until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::infer::{infer_geometry, InferenceConfig, SimOracle};
+    use crate::infer::{
+        infer_geometry, Geometry, InferenceConfig, InferenceEngine, PermutationEngine, SimOracle,
+    };
     use cachekit_policies::PolicyKind;
     use cachekit_sim::{Cache, CacheConfig};
 
@@ -441,14 +371,22 @@ mod tests {
         ))
     }
 
+    fn budgeted(
+        oracle: &mut SimOracle,
+        geometry: Geometry,
+        config: InferenceConfig,
+    ) -> InferenceReport {
+        PermutationEngine::budgeted().infer(oracle, &InferenceRequest::new(geometry, config))
+    }
+
     #[test]
     fn clean_oracle_is_confident_and_correct() {
         let mut oracle = oracle_for(PolicyKind::Lru, 16 * 1024, 4);
         let config = InferenceConfig::default();
         let geometry = infer_geometry(&mut oracle, &config).unwrap();
-        let result = infer_policy_robust(&mut oracle, &geometry, &config);
-        let report = result.outcome.as_ref().expect("clean LRU infers");
-        assert_eq!(report.matched, Some("LRU"));
+        let result = budgeted(&mut oracle, geometry, config);
+        let finding = result.outcome.as_ref().expect("clean LRU infers");
+        assert_eq!(finding.matched(), Some("LRU"));
         assert!(!result.degraded);
         assert_eq!(result.confidence, 1.0);
         assert_eq!(result.position_confidences, vec![1.0; 4]);
@@ -472,7 +410,7 @@ mod tests {
             associativity: 4,
             num_sets: 64,
         };
-        let result = infer_policy_robust(&mut oracle, &geometry, &config);
+        let result = budgeted(&mut oracle, geometry, config);
         assert!(result.degraded);
         assert!(!result.is_confident(0.5));
         assert_eq!(result.measurement_budget, Some(40));
@@ -492,7 +430,7 @@ mod tests {
         let mut oracle = oracle_for(PolicyKind::Lip, 16 * 1024, 4);
         let config = InferenceConfig::default();
         let geometry = infer_geometry(&mut oracle, &config).unwrap();
-        let result = infer_policy_robust(&mut oracle, &geometry, &config);
+        let result = budgeted(&mut oracle, geometry, config);
         assert!(!result.degraded);
         assert_eq!(
             result.outcome,
@@ -501,15 +439,18 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_strict_pipeline_on_a_clean_oracle() {
+    fn strict_and_budgeted_engines_agree_on_a_clean_oracle() {
         for kind in [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::TreePlru] {
             let config = InferenceConfig::default();
             let mut oracle = oracle_for(kind, 32 * 1024, 8);
             let geometry = infer_geometry(&mut oracle, &config).unwrap();
-            let strict = crate::infer::infer_policy(&mut oracle.clone(), &geometry, &config);
-            let robust = infer_policy_robust(&mut oracle, &geometry, &config);
-            match (strict, robust.outcome) {
-                (Ok(a), Ok(b)) => assert_eq!(a.spec, b.spec),
+            let request = InferenceRequest::new(geometry, config);
+            let strict = PermutationEngine::strict().infer(&mut oracle.clone(), &request);
+            let robust = PermutationEngine::budgeted().infer(&mut oracle, &request);
+            match (strict.outcome, robust.outcome) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.permutation().unwrap().spec, b.permutation().unwrap().spec)
+                }
                 (Err(a), Err(b)) => assert_eq!(a, b),
                 (a, b) => panic!("strict {a:?} vs robust {b:?}"),
             }

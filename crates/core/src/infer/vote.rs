@@ -1,10 +1,9 @@
 //! The voting primitive shared by every measurement site, and the
 //! adaptive retry engine built on top of it.
 //!
-//! Both the serial helpers (`measure_voted`) and the parallel campaign
-//! layer ([`Measurement`](crate::infer::Measurement)) used to carry
-//! their own copy of the repeat-and-take-the-median logic; [`VotePlan`]
-//! is the single implementation both now delegate to. It is also the
+//! [`VotePlan`] is the single repeat-and-take-the-median
+//! implementation: `measure_voted` and the inference engines all
+//! delegate to it. It is also the
 //! funnel through which every pipeline oracle query flows, so it is
 //! where the observability counters (`oracle.measurements`,
 //! `oracle.accesses`, `oracle.votes_discarded`, `oracle.timeouts`,

@@ -1,17 +1,17 @@
 //! Whole-machine reverse-engineering campaigns.
 //!
-//! [`survey`] runs the full pipeline (geometry, then policy) against
-//! every cache level of a virtual CPU and gathers the per-level results
-//! into one report — the programmatic form of the paper's per-processor
-//! table rows. The example binaries and the CLI are thin wrappers over
-//! this. The policy step goes through the [`InferenceEngine`] trait, so
-//! a survey can run the permutation pipeline, the automata learner, or
-//! the auto fallback chain without touching this module.
+//! [`survey_with_engine`] runs the full pipeline (geometry, then policy)
+//! against every cache level of a virtual CPU and gathers the per-level
+//! results into one report — the programmatic form of the paper's
+//! per-processor table rows. The policy step goes through the
+//! [`InferenceEngine`] trait, so a survey can run the permutation
+//! pipeline, the automata learner, or the auto fallback chain without
+//! touching this module.
 
 use crate::{CacheLevel, LevelOracle, MeasureMode, VirtualCpu};
 use cachekit_core::infer::{
     infer_geometry, CacheOracleExt, Counting, Geometry, InferenceConfig, InferenceEngine,
-    InferenceError, InferenceReport, InferenceRequest, PermutationEngine,
+    InferenceError, InferenceReport, InferenceRequest,
 };
 use std::fmt;
 
@@ -77,12 +77,6 @@ impl fmt::Display for MachineSurvey {
     }
 }
 
-/// Reverse engineer every cache level of `cpu` with the classic strict
-/// permutation engine — the paper's original campaign shape.
-pub fn survey(cpu: &mut VirtualCpu, config: &InferenceConfig, mode: MeasureMode) -> MachineSurvey {
-    survey_with_engine(cpu, config, mode, &PermutationEngine::strict())
-}
-
 /// Reverse engineer every cache level of `cpu` through `engine`.
 ///
 /// Levels are measured independently (each gets a fresh oracle); a
@@ -124,25 +118,16 @@ pub fn survey_with_engine(
     }
 }
 
-/// Survey a whole fleet of machines concurrently, one worker per
-/// machine, returning the surveys in fleet order.
+/// Survey a whole fleet of machines concurrently through `engine`
+/// (shared read-only across the workers), one worker per machine,
+/// returning the surveys in fleet order.
 ///
 /// Campaigns against different machines share no state at all, so this
 /// is a pure fan-out over the bounded pool of `cachekit-sim::parallel`;
 /// `jobs` of `None` resolves via `CACHEKIT_JOBS`, then available
-/// parallelism. Per-machine results are identical to calling [`survey`]
-/// serially (each virtual CPU carries its own seeded noise stream).
-pub fn survey_fleet(
-    cpus: Vec<VirtualCpu>,
-    config: &InferenceConfig,
-    mode: MeasureMode,
-    jobs: Option<usize>,
-) -> Vec<MachineSurvey> {
-    survey_fleet_with_engine(cpus, config, mode, jobs, &PermutationEngine::strict())
-}
-
-/// [`survey_fleet`] through an explicit engine (shared read-only across
-/// the workers).
+/// parallelism. Per-machine results are identical to calling
+/// [`survey_with_engine`] serially (each virtual CPU carries its own
+/// seeded noise stream).
 pub fn survey_fleet_with_engine(
     cpus: Vec<VirtualCpu>,
     config: &InferenceConfig,
@@ -163,32 +148,54 @@ pub fn survey_fleet_with_engine(
 mod tests {
     use super::*;
     use crate::fleet;
+    use cachekit_core::infer::PermutationEngine;
     use cachekit_policies::PolicyKind;
     use cachekit_sim::CacheConfig;
+
+    fn survey(cpu: &mut VirtualCpu, config: &InferenceConfig) -> MachineSurvey {
+        survey_with_engine(
+            cpu,
+            config,
+            MeasureMode::PerfCounter,
+            &PermutationEngine::strict(),
+        )
+    }
+
+    /// The whole fleet at release optimisation; debug builds survey
+    /// only the two machines without the Core 2 parts' 2–6 MiB L2s,
+    /// whose geometry campaigns take minutes unoptimised.
+    fn fleet_under_test() -> Vec<VirtualCpu> {
+        if cfg!(debug_assertions) {
+            vec![fleet::atom_d525(), fleet::mystery_rand()]
+        } else {
+            fleet::all()
+        }
+    }
 
     #[test]
     fn parallel_fleet_survey_matches_serial() {
         let config = InferenceConfig::default();
-        let serial: Vec<String> = fleet::all()
+        let serial: Vec<String> = fleet_under_test()
             .into_iter()
-            .map(|mut cpu| survey(&mut cpu, &config, MeasureMode::PerfCounter).to_string())
+            .map(|mut cpu| survey(&mut cpu, &config).to_string())
             .collect();
-        let parallel: Vec<String> =
-            survey_fleet(fleet::all(), &config, MeasureMode::PerfCounter, Some(4))
-                .into_iter()
-                .map(|s| s.to_string())
-                .collect();
+        let parallel: Vec<String> = survey_fleet_with_engine(
+            fleet_under_test(),
+            &config,
+            MeasureMode::PerfCounter,
+            Some(4),
+            &PermutationEngine::strict(),
+        )
+        .into_iter()
+        .map(|s| s.to_string())
+        .collect();
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn surveys_a_two_level_machine() {
         let mut cpu = fleet::atom_d525();
-        let s = survey(
-            &mut cpu,
-            &InferenceConfig::default(),
-            MeasureMode::PerfCounter,
-        );
+        let s = survey(&mut cpu, &InferenceConfig::default());
         assert_eq!(s.cpu, "atom_d525");
         assert_eq!(s.levels.len(), 2);
         assert_eq!(s.levels[0].verdict(), "LRU");
@@ -212,11 +219,7 @@ mod tests {
                 PolicyKind::TreePlru,
             )
             .build();
-        let s = survey(
-            &mut cpu,
-            &InferenceConfig::default(),
-            MeasureMode::PerfCounter,
-        );
+        let s = survey(&mut cpu, &InferenceConfig::default());
         assert_eq!(s.levels.len(), 3);
         assert_eq!(s.levels[0].verdict(), "LRU");
         assert!(s.levels[1].verdict().starts_with("rejected"));

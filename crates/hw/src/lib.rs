@@ -53,9 +53,7 @@ mod tlb;
 mod vcpu;
 
 pub use adversary::{AdaptiveAdversary, Adversary, AdversaryStrategy};
-pub use campaign::{
-    survey, survey_fleet, survey_fleet_with_engine, survey_with_engine, LevelSurvey, MachineSurvey,
-};
+pub use campaign::{survey_fleet_with_engine, survey_with_engine, LevelSurvey, MachineSurvey};
 pub use fault::{FaultInjected, FaultKind, FaultRates, Faults};
 pub use latency::LatencyModel;
 pub use noise::NoiseModel;

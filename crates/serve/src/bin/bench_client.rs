@@ -980,6 +980,15 @@ fn run_saturation_phase(seed: u64) -> Result<Json, String> {
 }
 
 fn run(flags: &Flags) -> Result<(), String> {
+    // Started before any phase so the run report's wall time covers
+    // the whole run.
+    let mut runner = Runner::new(if flags.smoke {
+        "serve_load_smoke"
+    } else {
+        "serve_load"
+    })
+    .with_seed(flags.seed)
+    .with_jobs(flags.conns);
     let self_hosted = flags.addr.is_none();
     let handle = if self_hosted {
         Some(Server::start(ServeConfig::default()).map_err(|e| format!("server: {e}"))?)
@@ -1158,13 +1167,6 @@ fn run(flags: &Flags) -> Result<(), String> {
     ]);
 
     // Report.
-    let mut runner = Runner::new(if flags.smoke {
-        "serve_load_smoke"
-    } else {
-        "serve_load"
-    })
-    .with_seed(flags.seed)
-    .with_jobs(flags.conns);
     runner.count("cold_requests", cold.len() as u64);
     runner.count("warm_requests", warm.len() as u64);
     runner.count("warm_hits", warm_hits as u64);

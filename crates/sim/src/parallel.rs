@@ -152,6 +152,11 @@ where
                         "par_map.worker_queue_wait_us",
                         wall_ns.saturating_sub(busy_ns) / 1_000,
                     );
+                    // Publish now: the scope can return before this
+                    // thread's shard is flushed by its TLS destructor,
+                    // which would land these records after the caller
+                    // has moved on (e.g. after a `reset`).
+                    cachekit_obs::flush();
                 }
             });
         }

@@ -1,25 +1,19 @@
 //! Differential fault-injection tests: the fault layer must be
-//! transparent at rate 0, and the *budgeted robust* pipeline must never
+//! transparent at rate 0, and the *budgeted* permutation engine must never
 //! be confidently wrong under any seeded fault schedule — budget
 //! exhaustion has to surface as an explicit degraded partial result,
 //! never as a panic or a silent guess.
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
-
 mod common;
 
 use cachekit::core::infer::{
-    infer_policy, infer_policy_robust, CacheOracle, CacheOracleExt, Geometry, InferenceConfig,
-    InferenceError, InferenceResult, SimOracle,
+    CacheOracle, CacheOracleExt, Finding, Geometry, InferenceConfig, InferenceEngine,
+    InferenceError, InferenceReport, InferenceRequest, PermutationEngine, SimOracle,
 };
 use cachekit::hw::Faults;
 use cachekit::policies::PolicyKind;
 use cachekit::sim::{Cache, CacheConfig};
+use common::infer_strict;
 use common::shrink::{replay_line, shrink_indices};
 
 /// Confidence bar above which a result claims a trustworthy answer.
@@ -54,10 +48,10 @@ fn config_for(seed: u64, budget: Option<u64>) -> InferenceConfig {
 }
 
 /// The outcome class a campaign is compared on across channels.
-fn outcome_class(result: &Result<cachekit::core::infer::PolicyReport, InferenceError>) -> String {
+fn outcome_class(result: &Result<Finding, InferenceError>) -> String {
     match result {
-        Ok(report) => report
-            .matched
+        Ok(finding) => finding
+            .matched()
             .map_or("undocumented".to_owned(), str::to_owned),
         Err(InferenceError::NotFrontInsertion { position }) => {
             format!("not-front-insertion@{position}")
@@ -95,8 +89,8 @@ fn zero_fault_layer_is_bit_identical_through_inference() {
     let config = InferenceConfig::default();
     for kind in PolicyKind::differential_kinds() {
         let geometry = geometry_for(8);
-        let plain = infer_policy(&mut oracle_for(kind, 8), &geometry, &config);
-        let layered = infer_policy(
+        let plain = infer_strict(&mut oracle_for(kind, 8), &geometry, &config);
+        let layered = infer_strict(
             &mut oracle_for(kind, 8).layer(Faults::from_seed(0xD1FF)),
             &geometry,
             &config,
@@ -115,13 +109,21 @@ fn fault_plan(rate: f64, seed: u64) -> Faults {
         .migrations(rate / 8.0, 4)
 }
 
-fn robust_campaign(kind: PolicyKind, assoc: usize, plan: Faults, seed: u64) -> InferenceResult {
+fn robust_campaign(kind: PolicyKind, assoc: usize, plan: Faults, seed: u64) -> InferenceReport {
     let mut oracle = oracle_for(kind, assoc).layer(plan);
-    infer_policy_robust(
+    budgeted(
         &mut oracle,
         &geometry_for(assoc),
-        &config_for(seed, Some(100_000)),
+        config_for(seed, Some(100_000)),
     )
+}
+
+fn budgeted(
+    oracle: &mut dyn CacheOracle,
+    geometry: &Geometry,
+    config: InferenceConfig,
+) -> InferenceReport {
+    PermutationEngine::budgeted().infer(oracle, &InferenceRequest::new(*geometry, config))
 }
 
 /// The invariant the whole kit exists to enforce: across the seeded
@@ -184,7 +186,7 @@ fn budget_exhaustion_degrades_with_partial_confidences_and_no_panic() {
     for budget in [1u64, 60, 140, 200, 260, 10_000] {
         let mut oracle = oracle_for(kind, 4).layer(Faults::from_seed(0xB4D));
         let config = config_for(7, Some(budget));
-        let result = infer_policy_robust(&mut oracle, &geometry_for(4), &config);
+        let result = budgeted(&mut oracle, &geometry_for(4), config);
         assert_eq!(result.measurement_budget, Some(budget));
         assert!(result.measurements_used <= budget);
         if budget == 10_000 {
@@ -227,7 +229,7 @@ fn unlimited_budget_faulty_channel_never_panics() {
     for kind in PolicyKind::differential_kinds() {
         let plan = fault_plan(0.25, 0xAB);
         let mut oracle = oracle_for(kind, 4).layer(plan);
-        let result = infer_policy_robust(&mut oracle, &geometry_for(4), &config_for(3, None));
+        let result = budgeted(&mut oracle, &geometry_for(4), config_for(3, None));
         if result.is_confident(CONFIDENCE_BAR) {
             let clean = robust_campaign(kind, 4, Faults::from_seed(0), 3);
             assert_eq!(

@@ -3,19 +3,15 @@
 //! flusher machinery in play) and check that the blind inference recovers
 //! exactly the hidden spec.
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
+mod common;
 
-use cachekit::core::infer::{infer_geometry, infer_policy, InferenceConfig};
+use cachekit::core::infer::{infer_geometry, InferenceConfig};
 use cachekit::core::perm::{Permutation, PermutationPolicy, PermutationSpec};
 use cachekit::hw::{CacheLevel, LevelOracle, VirtualCpu};
 use cachekit::policies::rng::{Prng, Shuffle};
 use cachekit::policies::PolicyKind;
 use cachekit::sim::{Cache, CacheConfig};
+use common::infer_strict;
 
 fn random_spec(assoc: usize, seed: u64) -> PermutationSpec {
     let mut rng = Prng::seed_from_u64(seed);
@@ -55,7 +51,7 @@ fn random_hidden_specs_are_recovered_through_l2_measurements() {
         let config = InferenceConfig::default();
         let geometry = infer_geometry(&mut oracle, &config).expect("geometry");
         assert_eq!(geometry.associativity, 4, "seed {seed}");
-        let report = infer_policy(&mut oracle, &geometry, &config).expect("policy");
+        let report = infer_strict(&mut oracle, &geometry, &config).expect("policy");
         assert_eq!(report.spec, spec, "seed {seed}");
     }
 }
@@ -67,6 +63,6 @@ fn wider_random_spec_is_recovered_too() {
     let mut oracle = LevelOracle::new(&mut cpu, CacheLevel::L2);
     let config = InferenceConfig::default();
     let geometry = infer_geometry(&mut oracle, &config).expect("geometry");
-    let report = infer_policy(&mut oracle, &geometry, &config).expect("policy");
+    let report = infer_strict(&mut oracle, &geometry, &config).expect("policy");
     assert_eq!(report.spec, spec);
 }

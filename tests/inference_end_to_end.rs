@@ -1,17 +1,13 @@
 //! End-to-end reverse engineering against the virtual hardware: from a
 //! black-box oracle to geometry and policy, exactly the paper's pipeline.
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
+mod common;
 
-use cachekit::core::infer::{infer_geometry, infer_policy, InferenceConfig, InferenceError};
+use cachekit::core::infer::{infer_geometry, InferenceConfig, InferenceError};
 use cachekit::hw::{fleet, CacheLevel, LevelOracle, MeasureMode, VirtualCpu};
 use cachekit::policies::PolicyKind;
 use cachekit::sim::CacheConfig;
+use common::infer_strict;
 
 fn infer_level(
     cpu: &mut VirtualCpu,
@@ -20,7 +16,7 @@ fn infer_level(
     let mut oracle = LevelOracle::new(cpu, level);
     let config = InferenceConfig::default();
     let geometry = infer_geometry(&mut oracle, &config)?;
-    let report = infer_policy(&mut oracle, &geometry, &config)?;
+    let report = infer_strict(&mut oracle, &geometry, &config)?;
     Ok((geometry, report.matched))
 }
 
@@ -90,7 +86,7 @@ fn random_l2_is_rejected() {
     let config = InferenceConfig::default();
     let geometry = infer_geometry(&mut oracle, &config).unwrap();
     assert_eq!(geometry.capacity, 64 * 1024);
-    let err = infer_policy(&mut oracle, &geometry, &config).unwrap_err();
+    let err = infer_strict(&mut oracle, &geometry, &config).unwrap_err();
     match err {
         InferenceError::InconsistentReadout(_)
         | InferenceError::NotAPermutationPolicy { .. }
@@ -106,7 +102,7 @@ fn timing_mode_agrees_with_perf_counters() {
     let (g_timing, matched_timing) = {
         let mut oracle = LevelOracle::new(&mut cpu, CacheLevel::L1).with_mode(MeasureMode::Timing);
         let g = infer_geometry(&mut oracle, &config).unwrap();
-        let r = infer_policy(&mut oracle, &g, &config).unwrap();
+        let r = infer_strict(&mut oracle, &g, &config).unwrap();
         (g, r.matched)
     };
     assert_eq!(g_timing.capacity, 24 * 1024);
@@ -125,7 +121,7 @@ fn derived_spec_predicts_future_behaviour() {
     let report = {
         let mut oracle = LevelOracle::new(&mut cpu, CacheLevel::L1);
         let g = infer_geometry(&mut oracle, &config).unwrap();
-        infer_policy(&mut oracle, &g, &config).unwrap()
+        infer_strict(&mut oracle, &g, &config).unwrap()
     };
     assert_eq!(report.spec, PermutationSpec::lru(6));
 

@@ -1,17 +1,13 @@
 //! Three-level machines: reverse engineering the L3 through two levels
 //! of interference, and detecting hashed (sliced) L3 indexing.
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
+mod common;
 
-use cachekit::core::infer::{infer_geometry, infer_policy, mapping, InferenceConfig};
+use cachekit::core::infer::{infer_geometry, mapping, InferenceConfig};
 use cachekit::hw::{CacheLevel, LevelOracle, VirtualCpu};
 use cachekit::policies::PolicyKind;
 use cachekit::sim::{CacheConfig, IndexFunction};
+use common::infer_strict;
 
 /// A scaled-down nehalem-style machine (fast enough for debug tests).
 fn mini_3level() -> VirtualCpu {
@@ -53,7 +49,7 @@ fn l3_geometry_and_policy_are_recovered_through_l1_and_l2() {
     assert_eq!(g.capacity, 256 * 1024);
     assert_eq!(g.associativity, 8);
     assert_eq!(g.line_size, 64);
-    let report = infer_policy(&mut oracle, &g, &config).unwrap();
+    let report = infer_strict(&mut oracle, &g, &config).unwrap();
     assert_eq!(report.matched, Some("PLRU"));
 }
 
@@ -64,7 +60,7 @@ fn middle_level_is_still_measurable_on_a_three_level_machine() {
     let config = InferenceConfig::default();
     let g = infer_geometry(&mut oracle, &config).unwrap();
     assert_eq!((g.capacity, g.associativity), (16 * 1024, 4));
-    let report = infer_policy(&mut oracle, &g, &config).unwrap();
+    let report = infer_strict(&mut oracle, &g, &config).unwrap();
     assert_eq!(report.matched, Some("PLRU"));
 }
 
@@ -117,7 +113,7 @@ fn l3_policy_inference_works_in_timing_mode_too() {
     let mut oracle = LevelOracle::new(&mut cpu, CacheLevel::L3).with_mode(MeasureMode::Timing);
     let g = infer_geometry(&mut oracle, &config).unwrap();
     assert_eq!((g.capacity, g.associativity), (256 * 1024, 8));
-    let report = infer_policy(&mut oracle, &g, &config).unwrap();
+    let report = infer_strict(&mut oracle, &g, &config).unwrap();
     assert_eq!(report.matched, Some("PLRU"));
 }
 
@@ -130,7 +126,7 @@ fn recording_oracle_transcript_matches_the_measurement_count() {
         .layer(Counting)
         .layer(Recording);
     let g = infer_geometry(&mut oracle, &config).unwrap();
-    let _ = infer_policy(&mut oracle, &g, &config).unwrap();
+    let _ = infer_strict(&mut oracle, &g, &config).unwrap();
     let transcript_len = oracle.records().len() as u64;
     assert_eq!(transcript_len, oracle.into_inner().measurements());
     assert!(transcript_len > 100, "a real campaign leaves a long trail");

@@ -4,21 +4,15 @@
 //! `common::shrink`), so a statistical regression pinpoints the exact
 //! seeds to re-run.
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
-
 mod common;
 
 use cachekit::core::infer::{
-    infer_geometry, infer_policy, infer_policy_robust, Geometry, InferenceConfig,
+    infer_geometry, Geometry, InferenceConfig, InferenceEngine, InferenceRequest, PermutationEngine,
 };
 use cachekit::hw::{CacheLevel, LevelOracle, NoiseModel, VirtualCpu};
 use cachekit::policies::PolicyKind;
 use cachekit::sim::CacheConfig;
+use common::infer_strict;
 use common::shrink::{check_cases, replay_line};
 
 /// The seeds on which `predicate` fails, for replay reporting.
@@ -53,7 +47,7 @@ fn attempt(noise: NoiseModel, repetitions: usize, seed: u64) -> bool {
         return false;
     }
     matches!(
-        infer_policy(&mut oracle, &geometry, &config),
+        infer_strict(&mut oracle, &geometry, &config),
         Ok(report) if report.matched == Some("PLRU")
     )
 }
@@ -109,9 +103,10 @@ fn robust_inference_is_never_confidently_wrong_under_noise() {
             .seed(seed)
             .build()
             .expect("valid config");
-        let result = infer_policy_robust(&mut oracle, &geometry, &config);
+        let result = PermutationEngine::budgeted()
+            .infer(&mut oracle, &InferenceRequest::new(geometry, config));
         if result.is_confident(0.75) {
-            let matched = result.outcome.as_ref().expect("confident => Ok").matched;
+            let matched = result.outcome.as_ref().expect("confident => Ok").matched();
             assert_eq!(matched, Some("PLRU"), "seed {seed}");
         }
     });

@@ -3,16 +3,12 @@
 //! balanced even when pool workers panic, and the log2 histograms land
 //! every value in exactly the documented bucket.
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
+mod common;
 
-use cachekit::core::infer::{infer_policy, Geometry, InferenceConfig, SimOracle};
+use cachekit::core::infer::{Geometry, InferenceConfig, SimOracle};
 use cachekit::policies::PolicyKind;
 use cachekit::sim::{par_map, Cache, CacheConfig};
+use common::infer_strict;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -45,7 +41,7 @@ fn infer_all_kinds() -> Vec<(String, String)> {
                 kind,
             );
             let mut oracle = SimOracle::new(cache);
-            let outcome = match infer_policy(&mut oracle, &geometry, &config) {
+            let outcome = match infer_strict(&mut oracle, &geometry, &config) {
                 Ok(report) => format!(
                     "{:?}/{}/{}/{}",
                     report.matched,

@@ -1,22 +1,19 @@
 //! Differential tests for the parallel execution engine: the parallel
 //! entry points must be *bit-identical* to their serial counterparts —
 //! same `CacheStats`, same deterministic output order — for every
-//! `PolicyKind`, at any worker count. Plus tree-PLRU conformance at the
-//! non-power-of-two associativities of the paper's actual machines
-//! (Atom D525: 24 KiB 6-way L1; Core 2: 24-way L2s).
+//! `PolicyKind`, at any worker count. Plus tree-PLRU conformance and
+//! policy inference at the non-power-of-two associativities of the
+//! paper's actual machines (Atom D525: 24 KiB 6-way L1; Core 2: 24-way
+//! L2s).
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
+mod common;
 
-use cachekit::core::infer::{infer_policy, infer_policy_parallel, InferenceConfig, SimOracle};
+use cachekit::core::infer::{InferenceConfig, SimOracle};
 use cachekit::policies::{conformance, PolicyKind, TreePlru};
 use cachekit::sim::sweep::sweep;
 use cachekit::sim::{sweep_parallel, sweep_parallel_jobs, Cache, CacheConfig};
 use cachekit::trace::gen;
+use common::infer_strict;
 
 #[test]
 fn sweep_parallel_is_bit_identical_to_sweep_for_every_kind() {
@@ -61,9 +58,9 @@ fn sweep_parallel_env_entry_point_matches_too() {
 }
 
 #[test]
-fn parallel_policy_inference_matches_serial_on_the_paper_geometries() {
-    // Atom D525-like 6-way and a PLRU 8-way: the parallel read-out must
-    // produce the same spec, match, and validation verdict as serial.
+fn policy_inference_identifies_the_paper_geometries() {
+    // Atom D525-like 6-way and a PLRU 8-way, plus an undocumented
+    // policy that must match nothing in the catalog.
     let cases = [
         (PolicyKind::Lru, 6usize, Some("LRU")),
         (PolicyKind::TreePlru, 8usize, Some("PLRU")),
@@ -77,25 +74,8 @@ fn parallel_policy_inference_matches_serial_on_the_paper_geometries() {
             let mut oracle = SimOracle::new(cache.clone());
             cachekit::core::infer::infer_geometry(&mut oracle, &config).unwrap()
         };
-        let serial = {
-            let mut oracle = SimOracle::new(cache.clone());
-            infer_policy(&mut oracle, &geometry, &config).unwrap()
-        };
-        let parallel = {
-            let oracle = SimOracle::new(cache);
-            infer_policy_parallel(&oracle, &geometry, &config, Some(4)).unwrap()
-        };
-        assert_eq!(serial.matched, expect, "{kind:?}");
-        assert_eq!(serial.matched, parallel.matched, "{kind:?}");
-        assert_eq!(serial.spec, parallel.spec, "{kind:?}");
-        assert_eq!(
-            serial.validation_rounds, parallel.validation_rounds,
-            "{kind:?}"
-        );
-        assert_eq!(
-            serial.validation_mismatches, parallel.validation_mismatches,
-            "{kind:?}"
-        );
+        let report = infer_strict(&mut SimOracle::new(cache), &geometry, &config).unwrap();
+        assert_eq!(report.matched, expect, "{kind:?}");
     }
 }
 
