@@ -44,6 +44,13 @@ run cargo run --release -q -p cachekit-bench --bin fig11_robustness -- --smoke
 # exhaustive equivalence of every catalog spec with its enum policy.
 run cargo test -q --release --test engine_differential
 
+# The benchmark package's own tests at release optimisation: every
+# eval_grid and eval_hierarchy cell's pinned outcome at the pinned seed
+# (hits, misses, evictions, write-backs, ...) and the layer-ladder
+# assertion, so a change to the simulator that alters a simulated
+# outcome fails here, not only in a benchmark run.
+run cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Inference-engine differential at release optimisation: permutation
 # vs automata verdict agreement over all 13 kinds (clean and faulted,
 # confident_wrong == 0), the closed-form state-count pins, and the

@@ -154,10 +154,9 @@ fn boxed_access_many(sets: &mut [BoxedSet], stream: &[(u32, u64)]) -> u64 {
     hits
 }
 
-/// Replay an interleaved stream on the enum engine, returning hits. The
-/// per-access entry point is what real callers use on an interleaved
-/// stream (the batched [`CacheSet::access_many`] needs a per-set run of
-/// tags); it inlines here because the set exports it `#[inline]`.
+/// Replay an interleaved stream on the enum engine, returning hits,
+/// through the per-access entry point every enum-engine caller uses; it
+/// inlines here because the set exports it `#[inline]`.
 fn enum_access_many(sets: &mut [CacheSet], stream: &[(u32, u64)]) -> u64 {
     let mut hits = 0u64;
     for &(set, tag) in stream {

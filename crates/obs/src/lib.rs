@@ -125,12 +125,20 @@ mod tests {
         let _g = guard();
         reset();
         set_enabled(true);
+        // Join each thread explicitly: `join` returns once the thread has
+        // exited, TLS destructors included, while the implicit join at
+        // the end of a scope may return before those destructors run.
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    add("worker.items", 2);
-                    record("worker.hist", 8);
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        add("worker.items", 2);
+                        record("worker.hist", 8);
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
             }
         });
         let snap = snapshot();

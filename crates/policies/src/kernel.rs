@@ -34,11 +34,13 @@
 //!   at 8 ways keeps one `u8` per set, so 16 K sets of tree state fit
 //!   in 16 KiB of L1) via the [`TreeWord`] trait.
 //!
-//! [`KernelCache`] is the many-set engine the throughput benchmark
-//! measures; [`run_set_stream`] is the single-set entry point
-//! `cachekit-sim`'s `CacheSet::access_many` routes through. Both are
-//! bit-identical to the enum engine — `tests/engine_differential.rs`
-//! pins boxed ≡ enum ≡ kernel.
+//! [`KernelCache`] is the many-set engine: the throughput benchmark
+//! measures it directly, and `cachekit-sim`'s `Cache::access_many`
+//! loads a cache's sets into one ([`KernelCache::load_set`]), replays
+//! the decoded stream through it and stores the sets back
+//! ([`KernelCache::store_set`]). It is bit-identical to the enum engine
+//! — `tests/engine_differential.rs` pins boxed ≡ enum ≡ kernel, and
+//! batch ≡ per-access through `Cache`.
 
 use crate::tree_plru::shape_for;
 use crate::{PolicyKind, PolicyState, ReplacementPolicy};
@@ -1043,86 +1045,6 @@ pub fn kernel_available(kind: PolicyKind, assoc: usize) -> bool {
     KernelCache::kernel_name(kind, assoc).is_some()
 }
 
-/// Replay a read stream against **one** set through the matching
-/// monomorphized kernel: the policy state is packed into a kernel word,
-/// the loop runs branchless over the caller's tag row, and the word is
-/// unpacked back. Returns `None` (caller falls back to the generic
-/// path) when no kernel matches the state's policy/associativity or the
-/// set has invalidation holes (`valid` not a dense prefix).
-///
-/// Mirrors the cache-set protocol exactly: misses fill the lowest
-/// invalid way while warming, then the policy victim; a refill clears
-/// the way's dirty bit. Returns `(hits, misses)`.
-pub fn run_set_stream(
-    state: &mut PolicyState,
-    tags: &mut [u64],
-    valid: &mut u128,
-    dirty: &mut u128,
-    stream: &[u64],
-) -> Option<(u64, u64)> {
-    macro_rules! dispatch_set_stream {
-        ($(($variant:ident, $kern:ty, $kind:pat, $assoc:literal)),*) => {
-            match (PolicyKind::parse_label(state.label()), state.associativity()) {
-                $(
-                    (Some($kind), $assoc) => {
-                        run_one::<$kern>(<$kern>::default(), state, tags, valid, dirty, stream)
-                    }
-                )*
-                _ => None,
-            }
-        };
-    }
-    kernel_combos!(dispatch_set_stream)
-}
-
-fn run_one<K: LaneKernel>(
-    kern: K,
-    state: &mut PolicyState,
-    tags: &mut [u64],
-    valid: &mut u128,
-    dirty: &mut u128,
-    stream: &[u64],
-) -> Option<(u64, u64)> {
-    let a = K::ASSOC;
-    if tags.len() < a {
-        return None;
-    }
-    let filled = valid.count_ones() as usize;
-    if filled > a || *valid != (1u128 << filled) - 1 {
-        // Invalidation holes: warm-up fills would not target a dense
-        // prefix, which the kernel's fill counter assumes.
-        return None;
-    }
-    let mut w = kern.pack(state)?;
-    let mut f = filled as u32;
-    let mut hits = 0u64;
-    for &tag in stream {
-        let mut m = 0u32;
-        for (i, &t) in tags[..a].iter().enumerate() {
-            m |= ((t == tag) as u32) << i;
-        }
-        m &= (1u32 << f) - 1;
-        if m != 0 {
-            kern.hit(&mut w, m.trailing_zeros());
-            hits += 1;
-        } else {
-            let way = if (f as usize) < a {
-                let x = f;
-                f += 1;
-                x
-            } else {
-                kern.victim(&mut w)
-            };
-            tags[way as usize] = tag;
-            *dirty &= !(1u128 << way);
-            kern.fill(&mut w, way);
-        }
-    }
-    *valid = (1u128 << f) - 1;
-    kern.unpack(w, state);
-    Some((hits, stream.len() as u64 - hits))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1303,58 +1225,5 @@ mod tests {
         }
         assert!(!kernel_available(PolicyKind::Lru, 6));
         assert!(!kernel_available(PolicyKind::Lru, 32));
-    }
-
-    #[test]
-    fn run_set_stream_matches_reference() {
-        for kind in kernel_kinds() {
-            for assoc in [4usize, 8, 16] {
-                let mut state = kind.build_state(assoc, 0);
-                let mut tags = vec![0u64; assoc];
-                let mut valid = 0u128;
-                let mut dirty = 0u128;
-                let st: Vec<u64> = stream(assoc, 1, 5_000, 42)
-                    .iter()
-                    .map(|&(_, t)| t)
-                    .collect();
-                let (hits, misses) =
-                    run_set_stream(&mut state, &mut tags, &mut valid, &mut dirty, &st)
-                        .unwrap_or_else(|| panic!("no kernel for {kind:?}@{assoc}"));
-                let mut r = RefSet::new(kind, assoc);
-                let mut ref_hits = 0u64;
-                for &t in &st {
-                    ref_hits += r.access(t) as u64;
-                }
-                assert_eq!(hits, ref_hits, "{kind:?}@{assoc}");
-                assert_eq!(hits + misses, st.len() as u64);
-                assert_eq!(
-                    state.state_key(),
-                    r.policy.state_key(),
-                    "{kind:?}@{assoc} final state"
-                );
-                for (way, &tag) in tags.iter().enumerate().take(assoc) {
-                    assert_eq!(Some(tag), r.tags[way], "{kind:?}@{assoc} way {way}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_set_stream_rejects_holes_and_foreign_states() {
-        let mut state = PolicyKind::Lru.build_state(8, 0);
-        let mut tags = vec![0u64; 8];
-        let mut dirty = 0u128;
-        // A hole in the valid mask (way 1 invalidated) must fall back.
-        let mut holed = 0b101u128;
-        assert!(run_set_stream(&mut state, &mut tags, &mut holed, &mut dirty, &[1]).is_none());
-        // A kind with no kernel must fall back.
-        let mut clock = PolicyKind::Clock.build_state(8, 0);
-        let mut valid = 0u128;
-        assert!(run_set_stream(&mut clock, &mut tags, &mut valid, &mut dirty, &[1]).is_none());
-        // An unsupported associativity must fall back.
-        let mut lru6 = PolicyKind::Lru.build_state(6, 0);
-        let mut tags6 = vec![0u64; 6];
-        let mut valid6 = 0u128;
-        assert!(run_set_stream(&mut lru6, &mut tags6, &mut valid6, &mut dirty, &[1]).is_none());
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::set::SetOutcome;
 use crate::{CacheConfig, CacheSet, CacheStats};
+use cachekit_policies::kernel::KernelCache;
 use cachekit_policies::{PolicyKind, PolicyState, ReplacementPolicy};
 
 /// Outcome of one cache access.
@@ -307,58 +308,90 @@ impl Cache {
         for (addr, write) in ops {
             self.access_op(addr, write);
         }
-        let mut delta = self.stats;
-        delta.accesses -= before.accesses;
-        delta.hits -= before.hits;
-        delta.misses -= before.misses;
-        delta.evictions -= before.evictions;
-        delta.writes -= before.writes;
-        delta.writebacks -= before.writebacks;
-        delta
+        self.stats - before
     }
 
     /// The batch kernel `access_many` will use, if the cache's policy
     /// and associativity have one compiled (e.g. `"lru16/swar128"`) —
-    /// `None` means the batch path runs the generic enum loop. Recorded
+    /// `None` means the batch path runs the per-access loop. Recorded
     /// by the serving layer and the benchmarks as engine metadata.
     pub fn batch_kernel(&self) -> Option<&'static str> {
         let kind = PolicyKind::parse_label(&self.policy_label)?;
-        cachekit_policies::kernel::KernelCache::kernel_name(kind, self.config.associativity())
+        KernelCache::kernel_name(kind, self.config.associativity())
     }
 
     /// Run a stream of read accesses in one call, returning
     /// `(hits, misses)` for the stream and updating the statistics.
     ///
-    /// Behaviour (contents, replacement state, hit/miss/eviction counts)
-    /// is identical to calling [`access`](Self::access) per element:
-    /// sets are independent, so the stream is bucketed per set — which
-    /// preserves program order within each set — and each set replays
-    /// its run through [`CacheSet::access_many`], hitting the compiled
-    /// batch kernel when the policy has one (see
-    /// [`batch_kernel`](Self::batch_kernel)).
+    /// Behaviour (contents, replacement state, every statistic) is
+    /// identical to calling [`access`](Self::access) per element. When
+    /// the cache's pair has a batch kernel (see
+    /// [`batch_kernel`](Self::batch_kernel)), the sets are loaded into a
+    /// transient [`KernelCache`] slab, the stream is decoded in
+    /// fixed-size chunks into one reused `(set, tag)` buffer, each chunk
+    /// replays through the slab's interleaved pass, and the sets are
+    /// stored back. Otherwise — no kernel for the pair, or any set with
+    /// a dirty line, an invalidation hole or a state the kernel does not
+    /// pack — the stream runs through [`access_op`](Self::access_op),
+    /// one access at a time; that choice is made before anything is
+    /// mutated.
     pub fn access_many(&mut self, addrs: &[u64]) -> (u64, u64) {
-        let mut runs: Vec<Vec<u64>> = vec![Vec::new(); self.sets.len()];
-        for &addr in addrs {
-            runs[self.config.set_index(addr)].push(self.config.tag(addr));
-        }
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (set, run) in self.sets.iter_mut().zip(&runs) {
-            if run.is_empty() {
-                continue;
+        let before = self.stats;
+        match self.load_kernel() {
+            Some(mut kernel) => self.run_kernel(&mut kernel, addrs),
+            None => {
+                for &addr in addrs {
+                    self.access_op(addr, false);
+                }
             }
-            let occ_before = set.occupancy() as u64;
-            let (h, m) = set.access_many(run);
+        }
+        let delta = self.stats - before;
+        (delta.hits, delta.misses)
+    }
+
+    /// Every set loaded into a fresh slab of the pair's batch kernel, or
+    /// `None` when some set cannot run there (see
+    /// [`access_many`](Self::access_many)). Reads the cache only.
+    fn load_kernel(&self) -> Option<KernelCache> {
+        let kind = PolicyKind::parse_label(&self.policy_label)?;
+        let mut kernel = KernelCache::for_kind(kind, self.config.associativity(), self.sets.len())?;
+        let loaded = self
+            .sets
+            .iter()
+            .enumerate()
+            .all(|(i, set)| set.load_into(&mut kernel, i));
+        loaded.then_some(kernel)
+    }
+
+    /// Replay a read stream through a slab holding this cache's sets and
+    /// store the sets back. A miss that did not grow the slab's line
+    /// count displaced a valid line, so evictions are the misses minus
+    /// that growth; every line is clean, so nothing is written back.
+    fn run_kernel(&mut self, kernel: &mut KernelCache, addrs: &[u64]) {
+        /// Accesses decoded per slab pass: the `(set, tag)` buffer is
+        /// 64 KiB however long the stream.
+        const CHUNK: usize = 4096;
+        let lines_before = kernel.lines();
+        let mut buf = Vec::with_capacity(CHUNK.min(addrs.len()));
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for chunk in addrs.chunks(CHUNK) {
+            buf.clear();
+            buf.extend(
+                chunk
+                    .iter()
+                    .map(|&a| (self.config.set_index(a) as u32, self.config.tag(a))),
+            );
+            let (h, m) = kernel.access_many(&buf);
             hits += h;
             misses += m;
-            // A miss that displaced a valid line is an eviction; fills
-            // into invalid ways grow the occupancy instead.
-            self.stats.evictions += m - (set.occupancy() as u64 - occ_before);
+        }
+        for (i, set) in self.sets.iter_mut().enumerate() {
+            set.store_from(kernel, i);
         }
         self.stats.accesses += hits + misses;
         self.stats.hits += hits;
         self.stats.misses += misses;
-        (hits, misses)
+        self.stats.evictions += misses - (kernel.lines() - lines_before);
     }
 
     /// Run a whole address trace, returning the stats delta for the run.
@@ -367,14 +400,7 @@ impl Cache {
         for addr in trace {
             self.access(addr);
         }
-        let mut delta = self.stats;
-        delta.accesses -= before.accesses;
-        delta.hits -= before.hits;
-        delta.misses -= before.misses;
-        delta.evictions -= before.evictions;
-        delta.writes -= before.writes;
-        delta.writebacks -= before.writebacks;
-        delta
+        self.stats - before
     }
 }
 
@@ -533,6 +559,30 @@ mod tests {
                     "{kind:?}@{assoc}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn access_many_writes_back_a_dirty_victim() {
+        // LRU@2 has no batch kernel, LRU@4 has one; a dirty line sends
+        // both down the per-access loop, which counts the write-back.
+        for assoc in [2usize, 4] {
+            let cfg = CacheConfig::new(64 * assoc as u64 * 8, assoc, 64).unwrap();
+            let ws = cfg.way_size();
+            let reads: Vec<u64> = (1..=assoc as u64).map(|i| i * ws).collect();
+            let mut batched = Cache::new(cfg, PolicyKind::Lru);
+            let mut serial = Cache::new(cfg, PolicyKind::Lru);
+            batched.write(0);
+            serial.write(0);
+            batched.access_many(&reads);
+            for &a in &reads {
+                serial.access(a);
+            }
+            assert_eq!(batched.stats().writebacks, 1, "LRU@{assoc}");
+            assert_eq!(batched.stats(), serial.stats(), "LRU@{assoc}");
+            assert!(!batched.contains(0), "LRU@{assoc}");
+            // The way that held the dirty line now holds a clean one.
+            assert!(reads.iter().all(|&a| !batched.is_dirty(a)), "LRU@{assoc}");
         }
     }
 

@@ -31,6 +31,10 @@ pub struct CacheConfig {
     associativity: usize,
     line_size: u64,
     num_sets: u64,
+    /// `log2(line_size)`: the offset bits below the line number.
+    line_shift: u32,
+    /// `log2(num_sets)`: the index bits between offset and tag.
+    set_shift: u32,
     index: IndexFunction,
 }
 
@@ -120,11 +124,16 @@ impl CacheConfig {
                 way_granularity,
             });
         }
+        // Both are powers of two and their product is at most the
+        // capacity, so the shifts sum to at most 63: the decode below
+        // never shifts a whole word out.
         Ok(Self {
             capacity,
             associativity,
             line_size,
             num_sets,
+            line_shift: line_size.trailing_zeros(),
+            set_shift: num_sets.trailing_zeros(),
             index: IndexFunction::Modulo,
         })
     }
@@ -171,31 +180,40 @@ impl CacheConfig {
         addr & !(self.line_size - 1)
     }
 
-    /// Set index of `addr`.
+    /// Set index of `addr`: `(addr / line_size) mod num_sets`, folded
+    /// with the tag under [`IndexFunction::XorFold`]. Line size and set
+    /// count are powers of two, so the decode is shifts and a mask.
+    #[inline]
     pub fn set_index(&self, addr: u64) -> usize {
-        let line_number = addr / self.line_size;
+        let line_number = addr >> self.line_shift;
+        let mask = self.num_sets - 1;
         match self.index {
-            IndexFunction::Modulo => (line_number % self.num_sets) as usize,
+            IndexFunction::Modulo => (line_number & mask) as usize,
             IndexFunction::XorFold => {
-                let tag = line_number / self.num_sets;
-                ((line_number ^ tag) % self.num_sets) as usize
+                let tag = line_number >> self.set_shift;
+                ((line_number ^ tag) & mask) as usize
             }
         }
     }
 
-    /// Tag of `addr` (the line address bits above the set index).
+    /// Tag of `addr` (the line address bits above the set index):
+    /// `addr / line_size / num_sets`.
+    #[inline]
     pub fn tag(&self, addr: u64) -> u64 {
-        addr / self.line_size / self.num_sets
+        addr >> (self.line_shift + self.set_shift)
     }
 
     /// Reconstruct the line address for a `(tag, set)` pair — the inverse
-    /// of [`tag`](Self::tag) + [`set_index`](Self::set_index).
+    /// of [`tag`](Self::tag) + [`set_index`](Self::set_index):
+    /// `(tag × num_sets + low) × line_size`, where `low` is the set (or,
+    /// under [`IndexFunction::XorFold`], the set unfolded from the tag).
+    #[inline]
     pub fn addr_of(&self, tag: u64, set: usize) -> u64 {
         let low = match self.index {
             IndexFunction::Modulo => set as u64,
-            IndexFunction::XorFold => (set as u64 ^ tag) % self.num_sets,
+            IndexFunction::XorFold => (set as u64 ^ tag) & (self.num_sets - 1),
         };
-        (tag * self.num_sets + low) * self.line_size
+        ((tag << self.set_shift) + low) << self.line_shift
     }
 
     /// The `i`-th distinct line address mapping to `set` (a convenient
@@ -323,6 +341,53 @@ mod tests {
             .map(|i| modulo.set_index(i * modulo.way_size()))
             .collect::<std::collections::HashSet<_>>();
         assert_eq!(plain.len(), 1);
+    }
+
+    /// The shift/mask decode equals the division definitions on seeded
+    /// random addresses, for every valid geometry over line sizes
+    /// 1..=4096 and associativities 1..=128 under both index functions.
+    #[test]
+    fn shift_decode_matches_division_definitions() {
+        let mut rng = cachekit_policies::rng::SplitMix64::new(0xDEC0DE);
+        let mut geometries = 0u64;
+        for line_shift in 0..=12u32 {
+            let line = 1u64 << line_shift;
+            for assoc in 1..=128usize {
+                for set_shift in 0..=63 - line_shift {
+                    let Some(capacity) = (assoc as u64).checked_mul(line << set_shift) else {
+                        break;
+                    };
+                    let base = CacheConfig::new(capacity, assoc, line).unwrap();
+                    assert_eq!((base.line_shift, base.set_shift), (line_shift, set_shift));
+                    assert!(base.line_shift + base.set_shift <= 63);
+                    geometries += 1;
+                    let sets = base.num_sets();
+                    for index in [IndexFunction::Modulo, IndexFunction::XorFold] {
+                        let cfg = base.with_index_function(index);
+                        for addr in [0, u64::MAX, rng.next_u64(), rng.next_u64()] {
+                            let line_number = addr / line;
+                            let tag = line_number / sets;
+                            let set = match index {
+                                IndexFunction::Modulo => line_number % sets,
+                                IndexFunction::XorFold => (line_number ^ tag) % sets,
+                            };
+                            assert_eq!(cfg.tag(addr), tag, "{cfg} {index:?} {addr:#x}");
+                            assert_eq!(cfg.set_index(addr), set as usize, "{cfg} {index:?}");
+                            let low = match index {
+                                IndexFunction::Modulo => set,
+                                IndexFunction::XorFold => (set ^ tag) % sets,
+                            };
+                            let want = (tag * sets + low) * line;
+                            assert_eq!(cfg.addr_of(tag, set as usize), want, "{cfg} {index:?}");
+                            assert_eq!(want, addr & !(line - 1), "{cfg} {index:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // 13 line sizes x 128 associativities, each with every set count
+        // whose capacity fits a u64.
+        assert!(geometries > 13 * 128 * 40, "{geometries} geometries");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! A single cache set: tags, validity and replacement state.
 
-use cachekit_policies::{PolicyState, ReplacementPolicy, StateVisitor};
+use cachekit_policies::kernel::KernelCache;
+use cachekit_policies::{PolicyState, ReplacementPolicy};
 
 /// One set of a set-associative cache.
 ///
@@ -116,70 +117,6 @@ fn find_way_full(tags: &[u64], tag: u64) -> Option<usize> {
         16 => fixed::<16>(tags.try_into().expect("len matches"), tag),
         24 => fixed::<24>(tags.try_into().expect("len matches"), tag),
         _ => tags.iter().position(|&t| t == tag),
-    }
-}
-
-/// Batched read-only access loop, monomorphized per concrete policy via
-/// [`PolicyState::visit_concrete`] so the policy update inlines into the
-/// tag-scan loop.
-struct BatchAccess<'a> {
-    tags: &'a mut [u64],
-    valid: &'a mut u128,
-    dirty: &'a mut u128,
-    stream: &'a [u64],
-}
-
-impl StateVisitor for BatchAccess<'_> {
-    type Output = (u64, u64);
-
-    fn visit<P: ReplacementPolicy + ?Sized>(self, policy: &mut P) -> (u64, u64) {
-        let assoc = self.tags.len();
-        let full: u128 = if assoc == 128 {
-            u128::MAX
-        } else {
-            (1u128 << assoc) - 1
-        };
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut rest = self.stream;
-        // Warm-up: invalid ways exist, so every lookup must test validity
-        // (stale tags survive invalidation) and fills target the lowest
-        // invalid way instead of a victim.
-        'warmup: while *self.valid != full {
-            let Some((&tag, tail)) = rest.split_first() else {
-                return (hits, misses);
-            };
-            rest = tail;
-            for way in 0..assoc {
-                if *self.valid & (1u128 << way) != 0 && self.tags[way] == tag {
-                    policy.on_hit(way);
-                    hits += 1;
-                    continue 'warmup;
-                }
-            }
-            let way = (!*self.valid).trailing_zeros() as usize;
-            self.tags[way] = tag;
-            *self.valid |= 1u128 << way;
-            *self.dirty &= !(1u128 << way);
-            policy.on_fill(way);
-            misses += 1;
-        }
-        // Steady state: every way is valid and stays valid, so the scan
-        // drops the validity test entirely and a miss goes straight to
-        // the policy's victim.
-        for &tag in rest {
-            if let Some(way) = find_way_full(self.tags, tag) {
-                policy.on_hit(way);
-                hits += 1;
-            } else {
-                let way = policy.victim();
-                self.tags[way] = tag;
-                *self.dirty &= !(1u128 << way);
-                policy.on_fill(way);
-                misses += 1;
-            }
-        }
-        (hits, misses)
     }
 }
 
@@ -309,35 +246,24 @@ impl CacheSet {
         Some(dirty)
     }
 
-    /// Run a stream of read accesses through the set in one call,
-    /// returning `(hits, misses)`.
-    ///
-    /// Behaviour is access-for-access identical to calling
-    /// [`access_tag`](Self::access_tag) per element. Dispatch is tiered:
-    /// policies with a compiled batch kernel (LRU/FIFO/PLRU/NRU at
-    /// associativity 4/8/16, see `cachekit_policies::kernel`) run the
-    /// monomorphized SWAR loop over the raw tag array; everything else
-    /// takes the per-policy monomorphized loop via
-    /// [`PolicyState::visit_concrete`]. This is the engine the
-    /// throughput benchmarks drive.
-    pub fn access_many(&mut self, stream: &[u64]) -> (u64, u64) {
-        let CacheSet {
-            tags,
-            valid,
-            dirty,
-            policy,
-        } = self;
-        if let Some(counts) =
-            cachekit_policies::kernel::run_set_stream(policy, &mut *tags, valid, dirty, stream)
-        {
-            return counts;
-        }
-        policy.visit_concrete(BatchAccess {
-            tags: &mut *tags,
-            valid,
-            dirty,
-            stream,
-        })
+    /// Load this set into row `index` of `kernel`, whose associativity
+    /// (at most 16) must be the set's, for a batch pass. Returns
+    /// `false` when the set cannot run there: a dirty line (the kernel
+    /// does not count write-backs), an invalidation hole (the kernel
+    /// fills ways in order), or a policy state the kernel does not pack.
+    pub(crate) fn load_into(&self, kernel: &mut KernelCache, index: usize) -> bool {
+        let filled = self.valid.count_ones();
+        self.dirty == 0
+            && self.valid == (1u128 << filled) - 1
+            && kernel.load_set(index, &self.tags, filled as u8, &self.policy)
+    }
+
+    /// Write row `index` of `kernel` back after a batch pass that began
+    /// with [`load_into`](Self::load_into): tags, fill count and policy
+    /// state. Every line stays clean — the pass runs reads only.
+    pub(crate) fn store_from(&mut self, kernel: &KernelCache, index: usize) {
+        let filled = kernel.store_set(index, &mut self.tags, &mut self.policy);
+        self.valid = (1u128 << filled) - 1;
     }
 
     /// Whether the line holding `tag` is dirty.
@@ -590,43 +516,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn access_many_matches_per_access_calls() {
-        for kind in PolicyKind::differential_kinds() {
-            let mut batched = CacheSet::from_state(kind.build_state(4, 9));
-            let mut serial = CacheSet::from_state(kind.build_state(4, 9));
-            let stream: Vec<u64> = (0..200u64).map(|i| (i * 7 + i * i / 5) % 11).collect();
-            let (hits, misses) = batched.access_many(&stream);
-            let mut serial_hits = 0;
-            for &tag in &stream {
-                if serial.access_tag(tag).is_hit() {
-                    serial_hits += 1;
-                }
-            }
-            assert_eq!(hits, serial_hits, "kind {kind:?}");
-            assert_eq!(hits + misses, stream.len() as u64);
-            for w in 0..4 {
-                assert_eq!(batched.tag_in_way(w), serial.tag_in_way(w), "kind {kind:?}");
-            }
-            assert_eq!(
-                batched.policy().state_key(),
-                serial.policy().state_key(),
-                "kind {kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn access_many_clears_dirty_bits_on_refill() {
-        let mut s = lru_set(2);
-        s.access_rw(1, true);
-        s.access_rw(2, false);
-        // Batched refill displaces dirty tag 1; the way must not stay
-        // dirty for the incoming tag.
-        s.access_many(&[3]);
-        assert!(!s.is_dirty(3));
-        assert!(!s.contains(1));
     }
 }

@@ -1,7 +1,7 @@
 //! Hit/miss statistics.
 
 use std::fmt;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Sub};
 
 /// Access statistics of a cache (or of one simulation run).
 ///
@@ -78,6 +78,23 @@ impl AddAssign for CacheStats {
     }
 }
 
+/// The delta between two snapshots of the same counters (`after -
+/// before`).
+impl Sub for CacheStats {
+    type Output = Self;
+
+    fn sub(self, rhs: Self) -> Self {
+        Self {
+            accesses: self.accesses - rhs.accesses,
+            hits: self.hits - rhs.hits,
+            misses: self.misses - rhs.misses,
+            evictions: self.evictions - rhs.evictions,
+            writes: self.writes - rhs.writes,
+            writebacks: self.writebacks - rhs.writebacks,
+        }
+    }
+}
+
 impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -114,6 +131,19 @@ mod tests {
         assert_eq!(a.hits, 1);
         assert_eq!(a.misses, 2);
         assert_eq!(a.evictions, 1);
+    }
+
+    #[test]
+    fn sub_undoes_add_assign() {
+        let mut before = CacheStats::default();
+        before.record_hit();
+        let mut delta = CacheStats::default();
+        delta.record_miss(true);
+        delta.writes = 1;
+        delta.writebacks = 1;
+        let mut after = before;
+        after += delta;
+        assert_eq!(after - before, delta);
     }
 
     #[test]

@@ -29,15 +29,23 @@ impl SweepCell {
     }
 }
 
-/// Simulate `trace` once on a fresh cache.
+/// Simulate the read trace `trace` once on a fresh cache.
+///
+/// The trace runs through [`Cache::access_many`], so a (policy,
+/// associativity) pair with a batch kernel — LRU, FIFO, tree-PLRU and
+/// NRU at 4, 8 and 16 ways — replays on the kernel's interleaved slab
+/// pass, and every other pair one access at a time. The statistics are
+/// identical to calling [`Cache::access`] per element either way.
 pub fn simulate(config: CacheConfig, policy: PolicyKind, trace: &[u64]) -> CacheStats {
     let mut cache = Cache::new(config, policy);
-    cache.run_trace(trace.iter().copied())
+    cache.access_many(trace);
+    cache.stats()
 }
 
 /// Simulate `trace` with an optional warm-up prefix excluded from the
 /// reported statistics: the first `warmup` accesses run first and their
-/// hits/misses are discarded.
+/// hits/misses are discarded. Both parts run through
+/// [`Cache::access_many`], like [`simulate`].
 pub fn simulate_warm(
     config: CacheConfig,
     policy: PolicyKind,
@@ -46,8 +54,10 @@ pub fn simulate_warm(
 ) -> CacheStats {
     let mut cache = Cache::new(config, policy);
     let split = warmup.min(trace.len());
-    cache.run_trace(trace[..split].iter().copied());
-    cache.run_trace(trace[split..].iter().copied())
+    cache.access_many(&trace[..split]);
+    let warm = cache.stats();
+    cache.access_many(&trace[split..]);
+    cache.stats() - warm
 }
 
 /// Cross every policy with every geometry on one trace.

@@ -7,6 +7,11 @@
 //! pre-refactor cache set (array-of-`Option` tags driving concrete
 //! policies behind `Box<dyn ReplacementPolicy>`), so the suite pins the
 //! refactor's semantics to the original substrate, not to itself.
+//!
+//! One level up, the batch entry points of a whole cache
+//! (`Cache::access_many`, `sweep::simulate`, `sweep::simulate_warm`)
+//! must equal the per-access `Cache::access_op` loop on every statistic,
+//! every resident line and every set's replacement state.
 
 use cachekit::core::perm::{catalog_for, equivalent, equivalent_sets, PermutationPolicy};
 use cachekit::policies::conformance::{assert_conformance, assert_state_key_soundness};
@@ -16,7 +21,7 @@ use cachekit::policies::{
     Bip, BitPlru, Brrip, Clock, Fifo, LazyLru, Lip, Lru, Nru, PolicyKind, PolicyState, Qlru,
     RandomPolicy, ReplacementPolicy, Slru, Srrip, TreePlru,
 };
-use cachekit::sim::{AccessOutcome, CacheSet};
+use cachekit::sim::{sweep, AccessOutcome, Cache, CacheConfig, CacheSet, IndexFunction};
 
 const ASSOCS: [usize; 3] = [4, 8, 16];
 
@@ -176,6 +181,142 @@ fn batch_kernels_are_bit_identical_across_the_whole_grid() {
     }
     // LRU, FIFO, PLRU and NRU at 4, 8 and 16 ways.
     assert_eq!(compiled, 12, "kernel grid shrank");
+}
+
+/// How a cache is prepared before the batch call under test.
+#[derive(Debug, Clone, Copy)]
+enum Prep {
+    /// Warmed by reads only, so every set loads into a kernel.
+    Clean,
+    /// Some resident lines written, so the batch must count their
+    /// write-backs.
+    Dirty,
+    /// Some resident lines invalidated, leaving holes below filled ways.
+    Holes,
+}
+
+fn prepare(cache: &mut Cache, prep: Prep, warm: &[u64]) {
+    for (i, &addr) in warm.iter().enumerate() {
+        let write = matches!(prep, Prep::Dirty) && i % 3 == 0;
+        cache.access_op(addr, write);
+    }
+    if matches!(prep, Prep::Holes) {
+        for &addr in warm.iter().step_by(5) {
+            cache.invalidate(addr);
+        }
+    }
+}
+
+/// Everything observable about a cache: statistics, resident lines in
+/// set and way order, the dirty ones, and each set's replacement state.
+fn snapshot(cache: &Cache) -> (cachekit::sim::CacheStats, Vec<u64>, Vec<u64>, Vec<Vec<u8>>) {
+    let lines = cache.resident_lines();
+    let dirty = lines
+        .iter()
+        .copied()
+        .filter(|&a| cache.is_dirty(a))
+        .collect();
+    let keys = (0..cache.config().num_sets() as usize)
+        .map(|s| cache.set(s).policy().state_key())
+        .collect();
+    (cache.stats(), lines, dirty, keys)
+}
+
+#[test]
+fn cache_batch_paths_equal_the_per_access_reference() {
+    // Every kernel pair, plus pairs the batch path runs per access.
+    let mut pairs: Vec<(PolicyKind, usize)> = Vec::new();
+    for kind in [
+        PolicyKind::Lru,
+        PolicyKind::Fifo,
+        PolicyKind::TreePlru,
+        PolicyKind::Nru,
+    ] {
+        for assoc in ASSOCS {
+            pairs.push((kind, assoc));
+        }
+    }
+    let kernel_pairs = pairs.len();
+    pairs.extend([
+        (PolicyKind::Clock, 8),
+        (PolicyKind::Srrip { bits: 2 }, 16),
+        (PolicyKind::Lru, 2),
+        (PolicyKind::Lru, 6),
+    ]);
+    let mut kernels = 0;
+    for (kind, assoc) in pairs {
+        let sets = 32u64;
+        for index in [IndexFunction::Modulo, IndexFunction::XorFold] {
+            let config = CacheConfig::new(sets * assoc as u64 * 64, assoc, 64)
+                .unwrap()
+                .with_index_function(index);
+            if Cache::new(config, kind).batch_kernel().is_some() {
+                kernels += 1;
+            }
+            let footprint = 3 * config.capacity();
+            let hot = config.capacity() / 2;
+            let mut rng = Prng::seed_from_u64(0x5EE9 ^ assoc as u64);
+            let trace: Vec<u64> = (0..12_000)
+                .map(|_| {
+                    let span = if rng.gen_bool(0.6) { hot } else { footprint };
+                    rng.gen_range(0..span)
+                })
+                .collect();
+            let label = format!("{kind:?}@{assoc} {index:?}");
+
+            let mut reference = Cache::new(config, kind);
+            for &addr in &trace {
+                reference.access_op(addr, false);
+            }
+            assert_eq!(
+                sweep::simulate(config, kind, &trace),
+                reference.stats(),
+                "{label}: simulate"
+            );
+            let warmup = trace.len() / 3;
+            let mut warm = Cache::new(config, kind);
+            for &addr in &trace[..warmup] {
+                warm.access_op(addr, false);
+            }
+            let before = warm.stats();
+            for &addr in &trace[warmup..] {
+                warm.access_op(addr, false);
+            }
+            assert_eq!(
+                sweep::simulate_warm(config, kind, &trace, warmup),
+                warm.stats() - before,
+                "{label}: simulate_warm"
+            );
+
+            for prep in [Prep::Clean, Prep::Dirty, Prep::Holes] {
+                let (warm, rest) = trace.split_at(2_000);
+                let mut batched = Cache::new(config, kind);
+                let mut serial = Cache::new(config, kind);
+                prepare(&mut batched, prep, warm);
+                prepare(&mut serial, prep, warm);
+                // Two calls, so the second resumes from a warm cache.
+                let (first, second) = rest.split_at(rest.len() / 2);
+                let (h1, m1) = batched.access_many(first);
+                let (h2, m2) = batched.access_many(second);
+                let before = serial.stats();
+                for &addr in rest {
+                    serial.access_op(addr, false);
+                }
+                let delta = serial.stats() - before;
+                assert_eq!(
+                    (h1 + h2, m1 + m2),
+                    (delta.hits, delta.misses),
+                    "{label} {prep:?}"
+                );
+                assert_eq!(
+                    snapshot(&batched),
+                    snapshot(&serial),
+                    "{label} {prep:?}: access_many"
+                );
+            }
+        }
+    }
+    assert_eq!(kernels, 2 * kernel_pairs, "a kernel pair lost its kernel");
 }
 
 #[test]
