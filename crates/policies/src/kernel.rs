@@ -870,9 +870,13 @@ impl<K: LaneKernel> Slab<K> {
     }
 
     /// Import a set's tags, fill count and policy state (packed into the
-    /// kernel word). Returns `false` if `state` is not this kernel's
-    /// policy at this associativity.
+    /// kernel word). Returns `false`, leaving the slab untouched, if
+    /// `state` is not this kernel's policy at this associativity, the
+    /// fill count exceeds the associativity or `tags` is shorter.
     pub fn load_set(&mut self, set: usize, tags: &[u64], filled: u8, state: &PolicyState) -> bool {
+        if filled as usize > K::ASSOC || tags.len() < K::ASSOC {
+            return false;
+        }
         let Some(w) = self.kern.pack(state) else {
             return false;
         };
@@ -1225,5 +1229,39 @@ mod tests {
         }
         assert!(!kernel_available(PolicyKind::Lru, 6));
         assert!(!kernel_available(PolicyKind::Lru, 32));
+    }
+
+    #[test]
+    fn run_set_stream_rejects_holes_and_foreign_states() {
+        // A single set replays through a one-set slab (`load_set`,
+        // `access_many`, `store_set`). Whatever the slab cannot hold
+        // must be refused at load time, before any state is touched, so
+        // the caller can take the per-access loop instead. Invalidation
+        // holes never reach the slab, which keeps a fill count rather
+        // than a valid mask: `CacheSet::load_into` refuses a holed set.
+        let lru8 = PolicyKind::Lru.build_state(8, 0);
+        let tags: Vec<u64> = (0x10..0x18).collect();
+        let mut slab = KernelCache::for_kind(PolicyKind::Lru, 8, 1).unwrap();
+        // A kind with no kernel, another kernel's kind, or the right
+        // kind at another associativity must not load.
+        for foreign in [
+            PolicyKind::Clock.build_state(8, 0),
+            PolicyKind::Fifo.build_state(8, 0),
+            PolicyKind::Lru.build_state(4, 0),
+        ] {
+            assert!(!slab.load_set(0, &tags, 0, &foreign), "{}", foreign.label());
+        }
+        // Nor a fill count past the associativity or a short tag row.
+        assert!(!slab.load_set(0, &tags, 9, &lru8));
+        assert!(!slab.load_set(0, &tags[..4], 4, &lru8));
+        assert_eq!(slab.lines(), 0, "a refused load left lines behind");
+        // Pairs without a kernel get no slab at all.
+        assert!(KernelCache::for_kind(PolicyKind::Clock, 8, 1).is_none());
+        assert!(KernelCache::for_kind(PolicyKind::Lru, 6, 1).is_none());
+        // A well-formed set still loads, keeping its fill count.
+        assert!(slab.load_set(0, &tags, 3, &lru8));
+        assert_eq!(slab.lines(), 3);
+        assert_eq!(slab.tag(0, 2), Some(0x12));
+        assert_eq!(slab.tag(0, 3), None);
     }
 }

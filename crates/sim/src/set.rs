@@ -388,6 +388,7 @@ impl CacheSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachekit_policies::kernel::kernel_available;
     use cachekit_policies::{Lru, PolicyKind};
 
     fn lru_set(assoc: usize) -> CacheSet {
@@ -516,5 +517,70 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn access_many_matches_per_access_calls() {
+        // The set's batch path (load into a one-set kernel slab, replay,
+        // store back) against per-access calls. The stream runs as two
+        // batches, so the second load starts from a stored-back set.
+        let mut batched_kinds = Vec::new();
+        for kind in PolicyKind::differential_kinds() {
+            let Some(mut kernel) = KernelCache::for_kind(kind, 4, 1) else {
+                continue;
+            };
+            batched_kinds.push(kind);
+            let mut batched = CacheSet::from_state(kind.build_state(4, 9));
+            let mut serial = CacheSet::from_state(kind.build_state(4, 9));
+            let stream: Vec<u64> = (0..200u64).map(|i| (i * 7 + i * i / 5) % 11).collect();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for half in stream.chunks(100) {
+                assert!(batched.load_into(&mut kernel, 0), "kind {kind:?}");
+                let run: Vec<(u32, u64)> = half.iter().map(|&t| (0, t)).collect();
+                let (h, m) = kernel.access_many(&run);
+                batched.store_from(&kernel, 0);
+                hits += h;
+                misses += m;
+            }
+            let mut serial_hits = 0;
+            for &tag in &stream {
+                if serial.access_tag(tag).is_hit() {
+                    serial_hits += 1;
+                }
+            }
+            assert_eq!(hits, serial_hits, "kind {kind:?}");
+            assert_eq!(hits + misses, stream.len() as u64);
+            assert_eq!(batched.occupancy(), serial.occupancy(), "kind {kind:?}");
+            for w in 0..4 {
+                assert_eq!(batched.tag_in_way(w), serial.tag_in_way(w), "kind {kind:?}");
+            }
+            assert_eq!(
+                batched.policy().state_key(),
+                serial.policy().state_key(),
+                "kind {kind:?}"
+            );
+        }
+        let expected: Vec<PolicyKind> = PolicyKind::differential_kinds()
+            .into_iter()
+            .filter(|&k| kernel_available(k, 4))
+            .collect();
+        assert_eq!(batched_kinds, expected);
+        assert!(batched_kinds.len() >= 4, "{batched_kinds:?}");
+    }
+
+    #[test]
+    fn load_into_refuses_holes_and_dirty_lines() {
+        let mut kernel = KernelCache::for_kind(PolicyKind::Lru, 4, 1).unwrap();
+        let mut s = lru_set(4);
+        for tag in 1..=3 {
+            s.access(tag);
+        }
+        assert!(s.load_into(&mut kernel, 0));
+        // Way 0 invalidated: the valid ways are no longer a dense prefix.
+        s.invalidate(1);
+        assert!(!s.load_into(&mut kernel, 0));
+        // Refilled, but dirty: the slab does not count write-backs.
+        s.access_rw(1, true);
+        assert!(!s.load_into(&mut kernel, 0));
     }
 }
